@@ -8,15 +8,14 @@ program.  Two sources feed the ledger:
   (:data:`LAYER_MAP`);
 * spans recorded by the benchmark's own wrappers around public entry
   points (:class:`SpanRecorder`), whose self time is the span's
-  duration minus the part of it covered by child spans.
+  duration minus the durations of its child spans.
 """
 
 from __future__ import annotations
 
 import pathlib
 import time
-from collections import defaultdict
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 # Module path relative to ``src/repro`` -> layer.  An entry ending in
 # ``/`` covers a directory; any other entry names exactly one file.  The
@@ -104,10 +103,9 @@ class LayerClassifier:
         path = pathlib.Path(filename).resolve()
         if path.is_relative_to(self.package_root):
             rel = path.relative_to(self.package_root).as_posix()
-            layer = layer_of(rel)
-            if layer is None:
-                raise LookupError(f"module {rel} maps to no layer")
-            return layer
+            # An unmapped module fails the run's coverage check; its
+            # time is still counted, in ``other``.
+            return layer_of(rel) or "other"
         if path.is_relative_to(HARNESS_DIR):
             return "harness"
         return "other"
@@ -182,35 +180,17 @@ class SpanRecorder:
         return [s for s in self.spans if s["name"] == name]
 
 
-def _covered(lo: float, hi: float,
-             intervals: Iterable[Tuple[float, float]]) -> float:
-    """Length of ``[lo, hi]`` covered by the union of ``intervals``."""
-    total, cur_a, cur_b = 0.0, None, None
-    for a, b in sorted((max(a, lo), min(b, hi)) for a, b in intervals):
-        if b <= a:
-            continue
-        if cur_b is None or a > cur_b:
-            if cur_b is not None:
-                total += cur_b - cur_a
-            cur_a, cur_b = a, b
-        else:
-            cur_b = max(cur_b, b)
-    if cur_b is not None:
-        total += cur_b - cur_a
-    return total
-
-
 def self_times(spans: List[Dict[str, Any]]) -> Dict[int, float]:
-    """Span id -> duration minus the time its child spans cover."""
-    children: Dict[int, List[Tuple[float, float]]] = defaultdict(list)
+    """Span id -> duration minus the durations of its child spans.
+
+    :class:`SpanRecorder` is a stack on one thread, so the children of a
+    span are disjoint and lie inside it.
+    """
+    own = {s["id"]: s["end"] - s["start"] for s in spans}
     for s in spans:
         if s["parent"] is not None:
-            children[s["parent"]].append((s["start"], s["end"]))
-    return {
-        s["id"]: (s["end"] - s["start"])
-        - _covered(s["start"], s["end"], children[s["id"]])
-        for s in spans
-    }
+            own[s["parent"]] -= s["end"] - s["start"]
+    return own
 
 
 def span_summary(spans: List[Dict[str, Any]]) -> Dict[str, Dict[str, float]]:

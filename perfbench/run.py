@@ -28,6 +28,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import calibrate
 import layers
 import workloads
 
@@ -38,6 +39,7 @@ OUT_DIR = HERE / "out"
 REFERENCES = HERE / "references.json"
 
 MIN_PASSES = 3   # set-ups and passes per timed run, at the least
+HOST_CLOCK = time.process_time  # end-to-end host time: process CPU seconds
 TAIL_BEYOND = 10
 
 # (name, unit, host|sim|count) in print order.  The JSON line carries
@@ -166,39 +168,66 @@ def timed_run(wl, seed: int, seconds: float,
 
     A set-up precedes every pass, so both sets of samples spread over
     the whole run and their medians shrug off a burst of host noise.
+    Both are timed in process CPU time (:data:`HOST_CLOCK`); the run
+    has one thread, so that is its wall time less the time the host
+    gave to other processes.  The reference loop runs before each of
+    them, and its median scales both medians to the reference host
+    speed (see :mod:`calibrate`).  ``seconds`` bounds the run's wall
+    time.
     """
+    loops: List[float] = []
     setups: List[float] = []
     samples: List[float] = []
+    digests = set()
     first = None
+
+    def timed(fn, *args):
+        gc.collect()
+        t0 = HOST_CLOCK()
+        result = fn(*args)
+        return result, HOST_CLOCK() - t0
+
+    def reference_loop() -> None:
+        digest, t = timed(calibrate.reference_loop)
+        digests.add(digest)
+        loops.append(t)
+
     end = time.perf_counter() + seconds
     while len(samples) < MIN_PASSES or time.perf_counter() < end:
         purge_repro()
-        gc.collect()
-        t0 = time.perf_counter()
-        inp = wl.setup(seed)
-        setups.append(time.perf_counter() - t0)
-        gc.collect()
-        t0 = time.perf_counter()
-        out = wl.run(inp)
-        samples.append(time.perf_counter() - t0)
+        reference_loop()
+        inp, t = timed(wl.setup, seed)
+        setups.append(t)
+        reference_loop()
+        out, t = timed(wl.run, inp)
+        samples.append(t)
         verify(wl, out, f"pass {len(samples)}", checks, first,
                reference if first is None else None)
         if first is None:
             first = out
+    checks.check("the reference loop did its fixed work",
+                 digests == {calibrate.DIGEST})
 
-    run_s = statistics.median(samples)
+    speed = calibrate.speed(loops)
+    run_s = statistics.median(samples) * speed
     metrics = {
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.median(setups) * speed,
         "run_s": run_s,
         "jobs_per_s": first["jobs"] / run_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / 1024.0,
     }
-    notes = [f"setup_s is the median of {len(setups)} set-ups; "
-             f"run_s the median of {len(samples)} passes"]
+    notes = [
+        f"setup_s is the median of {len(setups)} set-ups; run_s the "
+        f"median of {len(samples)} passes; both times {speed:.6f}, the "
+        f"host speed factor from {len(loops)} reference loops",
+        f"measured CPU medians: set-up {statistics.median(setups):.6f} s, "
+        f"pass {statistics.median(samples):.6f} s, reference loop "
+        f"{statistics.median(loops):.6f} s [host]",
+    ]
     run_tail = tail(samples)
     notes.append(
-        f"run_s tail: p{run_tail[1]:.1f} = {run_tail[0]:.6f} s "
+        f"run_s tail: p{run_tail[1]:.1f} = {run_tail[0] * speed:.6f} s "
         f"over {len(samples)} passes [host]" if run_tail else
         f"run_s tail: needs > {TAIL_BEYOND} passes, have {len(samples)}"
     )
@@ -285,8 +314,7 @@ def ledger(out: Dict[str, Any], rec: "layers.SpanRecorder",
     runs = rec.named("run_experiment")
     run_attrs = [s["attrs"] for s in runs]
     compiles = rec.named("compile")
-    compile_ids = {s["id"] for s in compiles}
-    misses = len({s["parent"] for s in runs} & compile_ids)
+    misses = out.get("compilations", 0)
     gets = rec.named("cache.get")
     hits = sum(1 for s in gets if s["attrs"]["hit"])
     run_ms = [(s["end"] - s["start"]) * 1e3 for s in runs]

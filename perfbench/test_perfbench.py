@@ -15,6 +15,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 sys.path.insert(0, str(HERE.parent / "src"))
 
+import calibrate  # noqa: E402
 import layers  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
@@ -114,13 +115,14 @@ def test_self_time_on_a_synthetic_span_tree():
 
     spans = [
         span(0, None, 0.0, 10.0),
-        span(1, 0, 1.0, 4.0),    # overlaps its sibling 2: union [1, 6]
-        span(2, 0, 3.0, 6.0),
-        span(3, 1, 2.0, 3.0),
-        span(4, 0, 8.0, 12.0),   # clipped to the parent at 10
+        span(1, 0, 1.0, 4.0),
+        span(2, 1, 2.0, 3.0),
+        span(3, 0, 5.0, 9.5),
+        span(4, 3, 6.0, 7.0),
+        span(5, 3, 7.0, 8.5),
     ]
-    assert layers.self_times(spans) == {0: 3.0, 1: 2.0, 2: 3.0, 3: 1.0,
-                                        4: 4.0}
+    assert layers.self_times(spans) == {0: 2.5, 1: 2.0, 2: 1.0, 3: 2.0,
+                                        4: 1.0, 5: 1.5}
 
 
 def test_span_recorder_nests_wrapped_calls():
@@ -160,14 +162,28 @@ def test_every_package_module_maps_to_a_layer():
     assert {rel: layers.layer_of(rel) for rel in expect} == expect
 
 
+def test_an_unmapped_module_fails_the_traced_run_with_a_result(
+        small, monkeypatch):
+    unmapped = {k: v for k, v in layers.LAYER_MAP.items() if k != "sim/"}
+    monkeypatch.setattr(layers, "LAYER_MAP", unmapped)
+    report = run.run("fig8-sweep", 3, 0.0, True, references={})
+    result = report["result"]
+    assert not result["correct"] and result["failed"] >= 1
+    assert list(result["metrics"]) == [m["name"]
+                                       for m in declared()["per_layer"]]
+    assert any(line.startswith("unmapped module: sim/")
+               for line in report["lines"])
+
+
 def test_only_code_outside_the_package_lands_in_other():
     classify = layers.LayerClassifier(run.PACKAGE)
     assert classify("~") == "other"
     assert classify(json.__file__) == "other"
     assert classify(layers.__file__) == "harness"
     assert classify(str(run.PACKAGE / "sim" / "engine.py")) == "sim"
-    with pytest.raises(LookupError):
-        classify(str(run.PACKAGE / "nowhere" / "new.py"))
+    # An unmapped module is counted in ``other``; the coverage check
+    # is what fails the run.
+    assert classify(str(run.PACKAGE / "nowhere" / "new.py")) == "other"
 
 
 def test_tail_percentile_keeps_ten_samples_beyond():
@@ -175,3 +191,8 @@ def test_tail_percentile_keeps_ten_samples_beyond():
     assert run.tail(range(10)) is None
     value, pct = run.tail(range(1, 402))
     assert (value, round(pct, 2)) == (391, 97.51)
+
+
+def test_the_reference_loop_does_fixed_work():
+    assert calibrate.reference_loop() == calibrate.DIGEST
+    assert calibrate.reference_loop(100) != calibrate.DIGEST
