@@ -106,6 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
                  + " (default: static, the paper's single split)",
         )
 
+    # The flags of every single-run scenario command (run, trace, stats,
+    # health, report, explain, profile, faults): one representative
+    # workload and its loop schedule.
+    scenario_flags = argparse.ArgumentParser(add_help=False)
+    scenario_flags.add_argument("--bootstraps", type=int, default=3)
+    scenario_flags.add_argument("--tasks", type=int, default=200)
+    scenario_flags.add_argument("--seed", type=int, default=0)
+    add_llp_schedule_flag(scenario_flags)
+
     p = sub.add_parser("sec51", help="Section 5.1 off-load optimization")
     p.add_argument("--tasks", type=int, default=500)
     add_trace_flag(p)
@@ -152,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_trace_flag(p)
 
     p = sub.add_parser(
-        "run",
+        "run", parents=[scenario_flags],
         help="run one scenario/scheduler once and print the result summary",
         description=(
             "One representative simulation of the named scenario (or "
@@ -163,10 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("scenario", nargs="?", choices=_OBSERVABLE, default="mgps")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     add_trace_flag(p)
 
     sub.add_parser(
@@ -181,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "trace",
+        "trace", parents=[scenario_flags],
         help="record a Chrome/Perfetto trace of one scenario run",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -194,13 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output path for the trace-event JSON")
     p.add_argument("--jsonl", metavar="PATH", default=None,
                    help="also dump raw trace records as JSON Lines")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
 
     p = sub.add_parser(
-        "stats",
+        "stats", parents=[scenario_flags],
         help="print the scheduler metrics snapshot for one scenario run",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -211,10 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("scenario", choices=_OBSERVABLE)
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit the registry snapshot as JSON instead of text")
     p.add_argument(
@@ -225,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "health",
+        "health", parents=[scenario_flags],
         help="diagnose one scenario run with the rule-based health monitor",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -236,15 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("scenario", choices=_OBSERVABLE)
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     p.add_argument("--json", action="store_true",
                    help="emit findings as a JSON array instead of text")
 
     p = sub.add_parser(
-        "report",
+        "report", parents=[scenario_flags],
         help="write a self-contained HTML performance report for one run",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -257,13 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", choices=_OBSERVABLE)
     p.add_argument("--out", required=True, metavar="PATH",
                    help="output path for the HTML report")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
 
     p = sub.add_parser(
-        "explain",
+        "explain", parents=[scenario_flags],
         help="per-job critical-path latency attribution for one run",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -286,13 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="slowest jobs / off-loads to show (default 5)")
     p.add_argument("--json", action="store_true",
                    help="emit trees and breakdown as JSON instead of text")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
 
     p = sub.add_parser(
-        "profile",
+        "profile", parents=[scenario_flags],
         help="wall-clock profile of one scenario run",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -304,10 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--scenario", choices=_OBSERVABLE, default="fig8")
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     p.add_argument("--sort", choices=("self", "total", "calls"),
                    default="self",
                    help="section ordering in the text table (default: "
@@ -322,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "sim-time records with wall-clock profile spans")
 
     p = sub.add_parser(
-        "faults",
+        "faults", parents=[scenario_flags],
         help="run one scenario under an injected fault plan",
         description=(
             "Run one representative simulation of the named scenario (or "
@@ -337,10 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     # Node-level serving faults have their own flag: repro serve --kill-blade.
     p.add_argument("scenario",
                    choices=[s for s in _OBSERVABLE if s != "serve"])
-    p.add_argument("--bootstraps", type=int, default=3)
-    p.add_argument("--tasks", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    add_llp_schedule_flag(p)
     p.add_argument("--plan", metavar="PATH", default=None,
                    help="JSON fault plan (see FaultPlan.to_json); flags "
                         "below override/extend the file's plan")
@@ -605,6 +582,47 @@ def _apply_llp_schedule(
 
     cfg = spec.llp_config or LLPConfig()
     return spec.with_(llp_config=replace(cfg, schedule=schedule))
+
+
+def _blade_kills(texts: List[str]) -> list:
+    """Parse repeated ``--kill-blade BLADE:TIME`` flags (serve, dag)."""
+    from .serve import BladeKill
+
+    kills = []
+    for text in texts:
+        try:
+            left, right = text.split(":", 1)
+            kills.append(BladeKill(blade=int(left), at=float(right)))
+        except ValueError:
+            raise ValueError(
+                f"--kill-blade expects BLADE:TIME, got {text!r}"
+            ) from None
+    return kills
+
+
+def _write_html_report(command: str, path: str, observe, title: str,
+                       subtitle: str) -> bool:
+    """The ``--report PATH`` writer of serve, dag and chaos.
+
+    ``observe()`` returns the (tracer, metrics) pair to render; it runs
+    only once the output directory is known to exist.  Returns False
+    (after printing the error) when it does not.
+    """
+    import pathlib
+
+    from .obs import analyze_run, write_report
+
+    if not pathlib.Path(path).parent.is_dir():
+        print(f"repro {command}: error: directory of {path!r} does not "
+              f"exist", file=sys.stderr)
+        return False
+    tracer, metrics = observe()
+    findings = analyze_run(tracer, metrics)
+    write_report(path, tracer, metrics, findings, title=title,
+                 subtitle=subtitle)
+    print(f"wrote report to {path} ({len(findings)} finding(s); "
+          f"self-contained, open in any browser)")
+    return True
 
 
 def _run_observed(
@@ -1064,7 +1082,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         from .serve import (
             BladeFlap,
-            BladeKill,
             BladeSlow,
             FleetFaultPlan,
             LinkDegrade,
@@ -1107,14 +1124,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         slows = list(plan.slows)
         flaps = list(plan.flaps)
         degrades = list(plan.degrades)
-        for text in args.kill_blade:
-            try:
-                left, right = text.split(":", 1)
-                kills.append(BladeKill(blade=int(left), at=float(right)))
-            except ValueError:
-                print(f"repro serve: error: --kill-blade expects "
-                      f"BLADE:TIME, got {text!r}", file=sys.stderr)
-                return 2
+        try:
+            kills += _blade_kills(args.kill_blade)
+        except ValueError as exc:
+            print(f"repro serve: error: {exc}", file=sys.stderr)
+            return 2
         for text in args.slow_blade:
             v = parse_fault(text, "--slow-blade",
                             "BLADE:TIME:FACTOR[:DURATION]", 3, 4)
@@ -1189,33 +1203,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"{len(shared)} shared jobs"
                 )
                 print(f"  digests: {verdict}")
-        if args.report:
-            import pathlib
-
-            from .obs import analyze_run, write_report
-
-            if not pathlib.Path(args.report).parent.is_dir():
-                print(f"repro serve: error: directory of {args.report!r} "
-                      f"does not exist", file=sys.stderr)
-                return 2
-            findings = analyze_run(tracer, metrics)
-            write_report(
-                args.report, tracer, metrics, findings,
-                title=f"serve: {cfg.dispatch} dispatch, "
-                      f"{cfg.scheduler} blades",
-                subtitle=f"{len(cfg.tenants)} tenants, horizon "
-                         f"{cfg.duration_s:g} s, seed {cfg.seed} — "
-                         f"drained at {result.makespan:.2f} s",
-            )
-            print(f"wrote report to {args.report} ({len(findings)} "
-                  f"finding(s); self-contained, open in any browser)")
+        if args.report and not _write_html_report(
+            "serve", args.report, lambda: (tracer, metrics),
+            title=f"serve: {cfg.dispatch} dispatch, {cfg.scheduler} blades",
+            subtitle=f"{len(cfg.tenants)} tenants, horizon "
+                     f"{cfg.duration_s:g} s, seed {cfg.seed} — "
+                     f"drained at {result.makespan:.2f} s",
+        ):
+            return 2
         if not digests_match:
             return 1
     elif args.command == "dag":
         import dataclasses
 
         from .serve import (
-            BladeKill,
             BootstopConfig,
             DagConfig,
             FleetFaultPlan,
@@ -1223,15 +1224,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             run_dag,
         )
 
-        kills = []
-        for text in args.kill_blade:
-            try:
-                left, right = text.split(":", 1)
-                kills.append(BladeKill(blade=int(left), at=float(right)))
-            except ValueError:
-                print(f"repro dag: error: --kill-blade expects BLADE:TIME, "
-                      f"got {text!r}", file=sys.stderr)
-                return 2
+        try:
+            kills = _blade_kills(args.kill_blade)
+        except ValueError as exc:
+            print(f"repro dag: error: {exc}", file=sys.stderr)
+            return 2
         tracer = Tracer(enabled=True)
         metrics = MetricsRegistry()
         try:
@@ -1270,27 +1267,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print("  digests: "
                       + ("identical to the fault-free run" if match
                          else "DIVERGED from fault-free"))
-        if args.report:
-            import pathlib
-
-            from .obs import analyze_run, write_report
-
-            if not pathlib.Path(args.report).parent.is_dir():
-                print(f"repro dag: error: directory of {args.report!r} "
-                      f"does not exist", file=sys.stderr)
-                return 2
-            findings = analyze_run(tracer, metrics)
-            write_report(
-                args.report, tracer, metrics, findings,
-                title=f"dag: {cfg.workflow.name} x{cfg.submissions}, "
-                      f"{cfg.dispatch} dispatch",
-                subtitle=f"bootstop "
-                         f"{'on' if cfg.bootstop is not None else 'off'}, "
-                         f"cache {'on' if cfg.cache else 'off'}, seed "
-                         f"{cfg.seed} — drained at {result.makespan:.2f} s",
-            )
-            print(f"wrote report to {args.report} ({len(findings)} "
-                  f"finding(s); self-contained, open in any browser)")
+        if args.report and not _write_html_report(
+            "dag", args.report, lambda: (tracer, metrics),
+            title=f"dag: {cfg.workflow.name} x{cfg.submissions}, "
+                  f"{cfg.dispatch} dispatch",
+            subtitle=f"bootstop "
+                     f"{'on' if cfg.bootstop is not None else 'off'}, "
+                     f"cache {'on' if cfg.cache else 'off'}, seed "
+                     f"{cfg.seed} — drained at {result.makespan:.2f} s",
+        ):
+            return 2
         if not ok:
             return 1
     elif args.command == "chaos":
@@ -1315,35 +1301,30 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(report.summary_text())
         if args.report:
-            import pathlib as _pathlib
-
-            from .obs import analyze_run, write_report
             from .serve.chaos import chaos_serve_config
             from .serve.service import run_service as _run_service
 
-            if not _pathlib.Path(args.report).parent.is_dir():
-                print(f"repro chaos: error: directory of {args.report!r} "
-                      f"does not exist", file=sys.stderr)
-                return 2
             # Re-run the most interesting plan (first failure, else the
             # last) with full observability and render it.
             shown = (report.failures[0] if report.failures
                      else report.outcomes[-1])
-            rtracer = Tracer(enabled=True)
-            rmetrics = MetricsRegistry()
-            _run_service(chaos_serve_config(chaos_cfg, shown.plan),
-                         tracer=rtracer, metrics=rmetrics)
-            findings = analyze_run(rtracer, rmetrics)
-            write_report(
-                args.report, rtracer, rmetrics, findings,
+
+            def rerun():
+                rtracer = Tracer(enabled=True)
+                rmetrics = MetricsRegistry()
+                _run_service(chaos_serve_config(chaos_cfg, shown.plan),
+                             tracer=rtracer, metrics=rmetrics)
+                return rtracer, rmetrics
+
+            if not _write_html_report(
+                "chaos", args.report, rerun,
                 title=f"chaos plan {shown.index}: "
                       f"{shown.plan.describe() or 'no faults'}",
                 subtitle=f"mix {chaos_cfg.mix}, seed {chaos_cfg.seed}, "
                          f"{chaos_cfg.blades} blades — "
                          f"{'PASS' if shown.ok else 'FAIL'}",
-            )
-            print(f"wrote report to {args.report} ({len(findings)} "
-                  f"finding(s); self-contained, open in any browser)")
+            ):
+                return 2
         failed = bool(report.failures)
         if args.check:
             failed = failed or bool(report.liveness_violations)

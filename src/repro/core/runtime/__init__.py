@@ -4,25 +4,16 @@ Three separable concerns, three layers:
 
 * :mod:`~repro.core.runtime.engine` — :class:`OffloadEngine`, the
   mechanics every scheduler shares (SPE acquisition, DMA timing, the
-  granularity test, and the single fault-tolerant off-load path);
+  granularity test, and the single off-load path, fault-tolerant when
+  a fault injector is installed);
 * :mod:`~repro.core.runtime.policy` /
   :mod:`~repro.core.runtime.policies` — the
   :class:`SchedulingPolicy` protocol, its string-keyed registry, and the
   paper's four schedulers as thin policy objects;
 * loop schedules live one layer down in :mod:`repro.core.llp`
   (``LLPConfig.schedule`` selects static / dynamic / guided / adaptive).
-
-The pre-split class tower (``OffloadRuntime`` and friends) remains
-importable from this package via :mod:`~repro.core.runtime.compat`.
 """
 
-from .compat import (
-    EDTLPRuntime,
-    LinuxRuntime,
-    MGPSRuntime,
-    OffloadRuntime,
-    StaticHybridRuntime,
-)
 from .context import ProcContext, RuntimeStats
 from .engine import OffloadEngine
 from .policies import (
@@ -40,7 +31,6 @@ from .policy import (
 )
 
 __all__ = [
-    # layered API
     "OffloadEngine",
     "SchedulingPolicy",
     "PolicyInfo",
@@ -51,13 +41,6 @@ __all__ = [
     "EDTLPPolicy",
     "StaticHybridPolicy",
     "MGPSPolicy",
-    # shared context
     "ProcContext",
     "RuntimeStats",
-    # legacy facade
-    "OffloadRuntime",
-    "LinuxRuntime",
-    "EDTLPRuntime",
-    "StaticHybridRuntime",
-    "MGPSRuntime",
 ]

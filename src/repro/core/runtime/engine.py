@@ -4,10 +4,9 @@ One :class:`OffloadEngine` drives the :class:`~repro.cell.CellMachine`
 for all schedulers.  It owns everything the paper's runtimes have in
 common — SPE acquisition against the pool, code-image residency, working
 set staging (DMA timing), the granularity test, cross-task memory
-contention, the result ledger, and the *single* fault-tolerant off-load
-path (retry/backoff/watchdog/PPE-fallback/blacklist) — and delegates
-every decision to a bound
-:class:`~repro.core.runtime.policy.SchedulingPolicy`.
+contention, the result ledger, and the *single* off-load path — and
+delegates every decision to the
+:class:`~repro.core.runtime.policy.SchedulingPolicy` it is built with.
 
 Two policy attributes select the wait discipline without duplicating the
 off-load path per scheduler:
@@ -16,12 +15,12 @@ off-load path per scheduler:
   workers, the dispatcher keeps ownership);
 * ``policy.spin`` — busy-wait on the PPE for completion instead of
   blocking (a spinning process observes the attempt's fate directly, so
-  the tolerant path needs no watchdog for it).
+  the off-load path needs no watchdog for it).
 
 The Linux baseline is ``pinned + spin``; EDTLP and everything built on
-it is ``pooled + blocking``.  Constructed without a policy, the engine
-is its own (inert) policy — the legacy ``OffloadRuntime`` subclass API
-in :mod:`repro.core.runtime.compat` builds on exactly that.
+it is ``pooled + blocking``.  Fault tolerance (retry, backoff, watchdog,
+blacklist, PPE fallback) rides on the same path and engages only when a
+fault injector is installed.
 """
 
 from __future__ import annotations
@@ -53,16 +52,11 @@ __all__ = ["OffloadEngine"]
 class OffloadEngine:
     """Policy-agnostic off-load mechanics (dispatch, code, execute, signal)."""
 
-    name = "engine"
-    # Self-policy defaults (used when no policy object is bound; the
-    # legacy subclass API overrides these and the hook methods below).
-    pinned = False
-    spin = False
-
     def __init__(
         self,
         env: Environment,
         machine: CellMachine,
+        policy: "SchedulingPolicy",
         granularity_enabled: bool = True,
         optimized: bool = True,
         llp_config: Optional[LLPConfig] = None,
@@ -72,7 +66,6 @@ class OffloadEngine:
         metrics: Optional[object] = None,
         faults: Optional["FaultInjector"] = None,
         tolerance: Optional[TolerancePolicy] = None,
-        policy: Optional["SchedulingPolicy"] = None,
     ) -> None:
         self.env = env
         self.machine = machine
@@ -112,14 +105,13 @@ class OffloadEngine:
         self.stats = RuntimeStats()
         self._active_sources: Set[int] = set()
         # Fault tolerance: ``faults`` is the injector realizing a plan on
-        # this machine (None = fault-free fast path, byte-identical to the
-        # pre-fault-tolerance runtime); ``tolerance`` configures the
-        # retry/watchdog/blacklist/fallback machinery.
+        # this machine (None = fault-free: the off-load path draws no
+        # faults, arms no watchdog and makes exactly one attempt);
+        # ``tolerance`` configures the retry/watchdog/blacklist/fallback
+        # machinery.
         self.faults = faults
         self.tolerance = tolerance or TolerancePolicy()
         self._consec_failures: Dict[str, int] = {}
-        if faults is not None:
-            faults.add_listener(self._notify_capacity_change)
         # Application-result ledger: one chained digest per bootstrap,
         # recorded by the worker processes via note_task_complete.  The
         # run digest is the bit-identity witness of the fault-tolerance
@@ -159,15 +151,12 @@ class OffloadEngine:
         self._m_blacklists = m.counter(
             "runtime.spe_blacklists", "SPEs retired after consecutive failures"
         )
-        # Bind the decision layer last: a real policy may size windows
-        # off the machine/metrics created above.  Without one, the
-        # engine's own (inert) hook methods serve as the policy.
-        if policy is None:
-            self.policy: "SchedulingPolicy" = self  # type: ignore[assignment]
-        else:
-            self.policy = policy
-            policy.bind(self)
-            self.name = policy.name
+        # Bind the decision layer last: a policy may size windows off
+        # the machine/metrics created above.
+        self.policy = policy
+        policy.bind(self)
+        if faults is not None:
+            faults.add_listener(policy.on_capacity_change)
 
     # -- bookkeeping hooks ----------------------------------------------------
     def note_bootstrap_start(self, ctx: ProcContext, index: int) -> None:
@@ -227,28 +216,6 @@ class OffloadEngine:
             t = min(max(t, 1), len(self._active_sources))
         return max(1, t)
 
-    # -- self-policy defaults (overridden by the legacy subclass API) --------
-    def llp_degree(self, ctx: ProcContext) -> int:
-        """Desired SPEs per off-loaded task (1 = no loop parallelism)."""
-        return 1
-
-    def on_dispatch(self, time: float) -> None:
-        """Called at every off-load dispatch."""
-
-    def on_departure(self, start: float, end: float) -> None:
-        """Called at every off-load completion."""
-
-    def on_capacity_change(self) -> None:
-        """Called after every SPE kill or blacklist (live set shrank)."""
-
-    def admit(self, ctx: ProcContext, task: TaskSpec, decision) -> bool:
-        """Last-look veto over an off-load the granularity test approved."""
-        return True
-
-    def _notify_capacity_change(self) -> None:
-        """Fault-listener shim: route capacity changes to the policy."""
-        self.policy.on_capacity_change()
-
     # -- SPE acquisition ------------------------------------------------------
     def _acquire_spe(
         self, ctx: ProcContext, task: TaskSpec
@@ -288,6 +255,16 @@ class OffloadEngine:
     def _exec_time(self, task: TaskSpec) -> float:
         return task.spe_time if self.optimized else task.naive_spe_time
 
+    def _abandon(
+        self, spe: SPE, workers: List[SPE], release: bool, status: str
+    ) -> str:
+        """Return a failed attempt's SPEs to the pool; pass ``status`` on."""
+        if release:
+            for w in workers:
+                self.machine.pool.release(w)
+            self.machine.pool.release(spe)
+        return status
+
     def _spe_exec(
         self,
         ctx: ProcContext,
@@ -296,11 +273,29 @@ class OffloadEngine:
         task: TaskSpec,
         trace: BootstrapTrace,
         release: bool,
-    ) -> Generator[Event, None, None]:
-        """Run ``task`` on ``spe`` (with optional LLP workers); a process."""
+    ) -> Generator[Event, None, str]:
+        """Run ``task`` on ``spe`` (with optional LLP workers); a process.
+
+        Returns a status string as the process value instead of raising
+        (the simulation runs strict, so an exception here would abort the
+        whole run): ``"ok"``, or — only with a fault injector installed —
+        ``"offload-fail"`` (transient dispatch loss), ``"dma-fail"``
+        (transfer abandoned) or ``"spe-dead"`` (master died before or
+        during execution).  Always returns its resources — released here,
+        not by the dispatching process, so a watchdog-abandoned attempt
+        cleans up after itself when it eventually finishes.
+        """
         env = self.env
+        faults = self.faults
+        if faults is not None:
+            death = faults.death_time(spe)
+            if death <= env.now or not spe.in_service:
+                return self._abandon(spe, workers, release, "spe-dead")
         # PPE -> SPE start signal.
         yield env.timeout(self.machine.signal_latency(ctx.cell_id, spe))
+        # Transient dispatch loss: the descriptor/signal never arrives.
+        if faults is not None and faults.offload_fails(spe):
+            return self._abandon(spe, workers, release, "offload-fail")
         # Make the right code image resident (t_code; Section 5.4 notes the
         # replacement cost when toggling between serial and LLP variants).
         image = trace.llp_image if workers else trace.code_image
@@ -311,7 +306,12 @@ class OffloadEngine:
             self.stats.code_loads += 1
             if self.sinks_enabled:
                 self._m_code_loads.inc()
+            ok = True
+            if faults is not None:
+                t_load, ok = self._faulty_dma_time(spe, t_load)
             yield env.timeout(t_load)
+            if not ok:
+                return self._abandon(spe, workers, release, "dma-fail")
 
         # Stage the task's working set (memory-aware extension): a hit
         # costs nothing, a miss pays the DMA of the data set.
@@ -322,7 +322,13 @@ class OffloadEngine:
                 self.stats.data_bytes_transferred += moved
                 if self.sinks_enabled:
                     self._m_data_misses.inc()
-                yield env.timeout(spe.mfc.transfer_time(moved))
+                t_dma = spe.mfc.transfer_time(moved)
+                ok = True
+                if faults is not None:
+                    t_dma, ok = self._faulty_dma_time(spe, t_dma)
+                yield env.timeout(t_dma)
+                if not ok:
+                    return self._abandon(spe, workers, release, "dma-fail")
             else:
                 self.stats.data_hits += 1
                 if self.sinks_enabled:
@@ -349,6 +355,10 @@ class OffloadEngine:
                     schedule=inv.schedule,
                     chunk_counts=inv.chunk_counts,
                 )
+            if faults is not None and task.loop is not None:
+                duration = self._recover_llp_chunks(
+                    spe, workers, task, inv.chunks, duration
+                )
         else:
             duration = self._exec_time(task)
         owner = ctx.owner
@@ -362,6 +372,9 @@ class OffloadEngine:
             self.cell.memory_contention_cap,
             self.cell.memory_contention_quadratic * busy_others**2,
         )
+        if faults is not None:
+            # Slow-SPE noise: multiplicative service-time perturbation.
+            duration *= faults.service_factor(spe)
 
         for w in workers:
             w.mark_busy(owner)
@@ -376,21 +389,44 @@ class OffloadEngine:
                     env.now, "spe", w.name, "task_start",
                     proc=ctx.rank, function=task.function, role="worker",
                 )
-        try:
-            yield from spe.occupy(duration, owner)
-        finally:
-            for w in workers:
-                w.mark_idle()
+        aborted = faults is not None and death < env.now + duration
+        if aborted:
+            # Master death inside the busy window loses the task: occupy
+            # the SPE only until its planned death, then report it.
+            spe.mark_busy(owner)
+            try:
+                if death > env.now:
+                    yield env.timeout(death - env.now)
+            finally:
+                spe.mark_idle()
+                for w in workers:
+                    w.mark_idle()
+        else:
+            try:
+                yield from spe.occupy(duration, owner)
+            finally:
+                for w in workers:
+                    w.mark_idle()
         if self.tracer.enabled:
-            self.tracer.emit(
-                env.now, "spe", spe.name, "task_end",
-                proc=ctx.rank, function=task.function,
-            )
+            if aborted:
+                self.tracer.emit(
+                    env.now, "spe", spe.name, "task_abort",
+                    proc=ctx.rank, function=task.function, reason="spe_kill",
+                )
+            else:
+                self.tracer.emit(
+                    env.now, "spe", spe.name, "task_end",
+                    proc=ctx.rank, function=task.function,
+                )
             for w in workers:
                 self.tracer.emit(
                     env.now, "spe", w.name, "task_end",
                     proc=ctx.rank, function=task.function, role="worker",
                 )
+        if aborted:
+            return self._abandon(spe, workers, release, "spe-dead")
+        # Released inline rather than via _abandon: the hot path of every
+        # off-load pays no extra call.
         if release:
             for w in workers:
                 self.machine.pool.release(w)
@@ -401,6 +437,7 @@ class OffloadEngine:
         self.granularity.record_spe(task.function, base_duration)
         # SPE -> PPE completion signal.
         yield env.timeout(self.machine.signal_latency(ctx.cell_id, spe))
+        return "ok"
 
     def _ppe_fallback(
         self, ctx: ProcContext, task: TaskSpec
@@ -427,10 +464,27 @@ class OffloadEngine:
 
         One path for every scheduler: pinned policies use the process's
         own SPE and skip the pool; spinning policies busy-wait on the
-        PPE; everyone else blocks.  With a fault plan attached the
-        tolerant twin below takes over.
+        PPE; everyone else blocks.  Each attempt dispatches and observes
+        the outcome under that discipline.  Without a fault injector the
+        first attempt always succeeds: no fault is drawn and no watchdog
+        armed.  With one:
+
+        * *pinned* policies retry against the same SPE (the baseline has
+          no pool to fail over to; a dead or blacklisted pinned SPE means
+          every remaining task of this process runs on the PPE), and a
+          *spinning* process observes the attempt's fate directly, so no
+          watchdog is armed;
+        * *pooled* policies acquire a (possibly different) SPE per
+          attempt and race the execution against a watchdog deadline; a
+          watchdog-abandoned attempt becomes a harmless zombie that
+          releases its SPE when it eventually finishes.
+
+        Failed attempts back off exponentially in simulated time; after
+        ``max_attempts`` failures — or when no live SPE remains — the
+        task executes its PPE version, which cannot fail.
         """
-        pinned = self.policy.pinned
+        policy = self.policy
+        pinned = policy.pinned
         if pinned and ctx.pinned_spe is None:
             raise RuntimeError(f"process {ctx.rank} has no pinned SPE")
         prof = self.profiler
@@ -444,53 +498,108 @@ class OffloadEngine:
         if (
             not self.offload_enabled
             or not decision.offload
-            or not self.policy.admit(ctx, task, decision)
+            or not policy.admit(ctx, task, decision)
         ):
             yield from self._ppe_fallback(ctx, task)
             return
-        if self.faults is not None:
-            yield from self._offload_tolerant(ctx, task, trace, decision)
-            return
+        env = self.env
+        faults = self.faults
+        tol = self.tolerance
+        spe = ctx.pinned_spe
         with self.spans.span("proc", ctx.actor, "offload") as sp:
             if self.tracer.enabled:
                 sp.set(function=task.function, reason=decision.reason)
-            # The process writes the task descriptor / finds an SPE and
-            # ships the descriptor — user-level scheduler work either way.
-            yield ctx.thread.run(self.cell.dispatch_overhead)
-            if pinned:
-                spe, workers, release = ctx.pinned_spe, [], False
-            else:
-                spe = yield from self._acquire_spe(ctx, task)
-                workers = self._acquire_workers(ctx, spe, task)
+            for attempt in range(tol.max_attempts):
+                if faults is not None:
+                    if pinned and not spe.in_service:
+                        break
+                    if self.tracer.enabled:
+                        # Attempt boundary: lets the causal layer rebuild
+                        # retries as sibling spans with the backoff waits
+                        # between them.
+                        self.tracer.emit(
+                            env.now, "fault", ctx.actor, "offload_attempt",
+                            function=task.function, attempt=attempt,
+                        )
+                # The process writes the task descriptor / finds an SPE
+                # and ships the descriptor — user-level scheduler work.
+                yield ctx.thread.run(self.cell.dispatch_overhead)
+                if pinned:
+                    workers: List[SPE] = []
+                    release = False
+                else:
+                    spe = yield from self._acquire_spe(ctx, task)
+                    if spe is None:
+                        # Capacity exhausted: every SPE dead or blacklisted.
+                        break
+                    workers = self._acquire_workers(ctx, spe, task)
+                    if self.tracer.enabled:
+                        sp.set(spe=spe.name, llp_degree=1 + len(workers))
+                    release = True
+                self.stats.offloads += 1
+                if self.sinks_enabled:
+                    self._m_offloads.inc()
+                    if prof is not None:
+                        prof.count("runtime.offloads")
+                start = env.now
+                policy.on_dispatch(start)
+                done = env.process(
+                    self._spe_exec(ctx, spe, workers, task, trace,
+                                   release=release),
+                    name=f"exec.p{ctx.rank}",
+                )
+                if policy.spin:
+                    # Busy-wait: the MPI process holds its PPE context
+                    # while the SPE computes (the baseline's pathology).
+                    yield ctx.thread.spin_until(done)
+                    status = "ok" if faults is None else done.value
+                elif faults is None:
+                    # Block (voluntary context switch): the PPE
+                    # immediately serves the next runnable MPI process.
+                    yield done
+                    status = "ok"
+                else:
+                    deadline = tol.attempt_deadline(
+                        self._expected_attempt_time(task)
+                    )
+                    winner = yield env.any_of([done, env.timeout(deadline)])
+                    status = (
+                        done.value if winner is done else "watchdog-timeout"
+                    )
+                if status == "ok":
+                    if faults is not None:
+                        self._consec_failures.pop(spe.name, None)
+                    policy.on_departure(start, env.now)
+                    if self.sinks_enabled:
+                        self._m_offload_latency.observe(
+                            (env.now - start) * 1e6
+                        )
+                    # Completion handling on the PPE before the process
+                    # continues (Section 5.2's t_comm bookkeeping).
+                    yield ctx.thread.run(self.cell.completion_overhead)
+                    return
+                if status == "watchdog-timeout":
+                    self.stats.watchdog_timeouts += 1
+                    self._m_watchdog.inc()
+                self.stats.offload_retries += 1
+                if self.sinks_enabled:
+                    self._m_retries.inc()
+                self._note_spe_failure(spe)
                 if self.tracer.enabled:
-                    sp.set(spe=spe.name, llp_degree=1 + len(workers))
-                release = True
-            self.stats.offloads += 1
-            if self.sinks_enabled:
-                self._m_offloads.inc()
-                if prof is not None:
-                    prof.count("runtime.offloads")
-            start = self.env.now
-            self.policy.on_dispatch(start)
-            done = self.env.process(
-                self._spe_exec(ctx, spe, workers, task, trace,
-                               release=release),
-                name=f"exec.p{ctx.rank}",
-            )
-            if self.policy.spin:
-                # Busy-wait: the MPI process holds its PPE context while
-                # the SPE computes (the baseline's whole pathology).
-                yield ctx.thread.spin_until(done)
-            else:
-                # Block (voluntary context switch): the PPE immediately
-                # serves the next runnable MPI process.
-                yield done
-            self.policy.on_departure(start, self.env.now)
-            if self.sinks_enabled:
-                self._m_offload_latency.observe((self.env.now - start) * 1e6)
-            # Completion handling on the PPE before the process continues
-            # (Section 5.2's t_comm bookkeeping on the PPE side).
-            yield ctx.thread.run(self.cell.completion_overhead)
+                    self.tracer.emit(
+                        env.now, "fault", ctx.actor, "offload_retry",
+                        function=task.function, status=status,
+                        attempt=attempt, spe=spe.name,
+                    )
+                yield env.timeout(tol.backoff(attempt))
+            self.stats.retry_fallbacks += 1
+            self._m_retry_fallbacks.inc()
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    env.now, "fault", ctx.actor, "retry_fallback",
+                    function=task.function,
+                )
+        yield from self._ppe_fallback(ctx, task)
 
     # -- fault-tolerant mechanics ---------------------------------------------
     def _note_spe_failure(self, spe: SPE) -> None:
@@ -513,10 +622,7 @@ class OffloadEngine:
                     consecutive_failures=n,
                     live_spes=self.machine.pool.n_live,
                 )
-            self._notify_capacity_change()
-
-    def _note_spe_success(self, spe: SPE) -> None:
-        self._consec_failures.pop(spe.name, None)
+            self.policy.on_capacity_change()
 
     def _expected_attempt_time(self, task: TaskSpec) -> float:
         """Expected duration of one attempt, for the watchdog deadline.
@@ -542,301 +648,39 @@ class OffloadEngine:
         t = base * (1.0 + self.faults.plan.dma_retry_penalty * errors)
         return t, errors <= self.tolerance.max_dma_retries
 
-    def _spe_exec_faulty(
-        self,
-        ctx: ProcContext,
-        spe: SPE,
-        workers: List[SPE],
-        task: TaskSpec,
-        trace: BootstrapTrace,
-        release: bool,
-    ) -> Generator[Event, None, str]:
-        """Fault-aware twin of :meth:`_spe_exec`; a process.
+    def _recover_llp_chunks(
+        self, spe: SPE, workers: List[SPE], task: TaskSpec,
+        chunks: "tuple[int, ...]", duration: float,
+    ) -> float:
+        """Loop duration after reclaiming chunks of workers that die in it.
 
-        Returns a status string as the process value instead of raising
-        (the simulation runs strict, so an exception here would abort the
-        whole run): ``"ok"``, ``"offload-fail"`` (transient dispatch
-        loss), ``"dma-fail"`` (transfer abandoned), ``"spe-dead"``
-        (master died before or during execution).  Always returns its
-        resources — released here, not by the dispatching process, so a
-        watchdog-abandoned attempt cleans up after itself when it
-        eventually finishes.
+        Mid-loop recovery: a worker that dies inside the busy window
+        forfeits the unexecuted tail of its chunk; the master reclaims
+        and re-executes those iterations serially after the join (plus a
+        signal to detect the loss).
         """
-        env = self.env
-        faults = self.faults
-        policy = self.tolerance
-
-        def _give_back() -> None:
-            if release:
-                for w in workers:
-                    self.machine.pool.release(w)
-                self.machine.pool.release(spe)
-
-        death = faults.death_time(spe)
-        if death <= env.now or not spe.in_service:
-            _give_back()
-            return "spe-dead"
-
-        # PPE -> SPE start signal.
-        yield env.timeout(self.machine.signal_latency(ctx.cell_id, spe))
-        # Transient dispatch loss: the descriptor/signal never arrives.
-        if faults.offload_fails(spe):
-            _give_back()
-            return "offload-fail"
-
-        image = trace.llp_image if workers else trace.code_image
-        t_load = spe.load_code(image)
-        for w in workers:
-            t_load = max(t_load, w.load_code(trace.llp_image))
-        if t_load > 0:
-            self.stats.code_loads += 1
-            if self.sinks_enabled:
-                self._m_code_loads.inc()
-            t_load, ok = self._faulty_dma_time(spe, t_load)
-            yield env.timeout(t_load)
-            if not ok:
-                _give_back()
-                return "dma-fail"
-
-        if task.working_set > 0 and task.data_key is not None:
-            moved = spe.load_data(task.data_key, task.working_set)
-            if moved:
-                self.stats.data_misses += 1
-                self.stats.data_bytes_transferred += moved
-                if self.sinks_enabled:
-                    self._m_data_misses.inc()
-                errors = faults.dma_errors(spe, policy.max_dma_retries)
-                if errors:
-                    self.stats.dma_errors += errors
-                yield env.timeout(
-                    spe.mfc.transfer_time_with_retries(
-                        moved,
-                        n_errors=errors,
-                        retry_penalty=faults.plan.dma_retry_penalty,
-                    )
-                )
-                if errors > policy.max_dma_retries:
-                    _give_back()
-                    return "dma-fail"
-            else:
-                self.stats.data_hits += 1
-                if self.sinks_enabled:
-                    self._m_data_hits.inc()
-
-        if workers:
-            cross = sum(1 for w in workers if w.cell_id != spe.cell_id)
-            inv = self.llp_model.invoke(task, 1 + len(workers), cross,
-                                         actor=spe.name)
-            duration = inv.duration
-            self.stats.llp_invocations += 1
-            self.stats.llp_worker_seconds += duration * len(workers)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    env.now, "llp", spe.name, "llp_invoke",
-                    function=task.function, k=inv.k,
-                    join_idle_us=inv.join_idle * 1e6,
-                    master_fraction=inv.master_fraction,
-                    chunks=inv.chunks,
-                    schedule=inv.schedule,
-                    chunk_counts=inv.chunk_counts,
-                )
-            # Mid-loop recovery: a worker that dies inside the busy
-            # window forfeits the unexecuted tail of its chunk; the
-            # master reclaims and re-executes those iterations serially
-            # after the join (plus a signal to detect the loss).
-            if task.loop is not None:
-                t_iter = (
-                    task.spe_time * task.loop.coverage / task.loop.iterations
-                )
-                for j, w in enumerate(workers):
-                    w_death = faults.death_time(w)
-                    if w_death >= env.now + duration:
-                        continue
-                    frac = (
-                        1.0
-                        if duration <= 0
-                        else (env.now + duration - max(w_death, env.now))
-                        / duration
-                    )
-                    chunk = inv.chunks[j + 1] if j + 1 < len(inv.chunks) else 0
-                    reclaimed = int(math.ceil(chunk * min(1.0, frac)))
-                    extra = reclaimed * t_iter + self.machine.spe_signal_latency(
-                        w, spe
-                    )
-                    duration += extra
-                    self.stats.llp_recoveries += 1
-                    self._m_llp_recoveries.inc()
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            env.now, "fault", spe.name, "llp_recovery",
-                            worker=w.name, died_at=w_death,
-                            reclaimed_iterations=reclaimed,
-                            extra_seconds=extra,
-                        )
-        else:
-            duration = self._exec_time(task)
-
-        owner = ctx.owner
-        busy_others = self.machine.busy_others(spe.cell_id, owner)
-        base_duration = duration
-        duration *= 1.0 + min(
-            self.cell.memory_contention_cap,
-            self.cell.memory_contention_quadratic * busy_others**2,
-        )
-        # Slow-SPE noise: multiplicative service-time perturbation.
-        duration *= faults.service_factor(spe)
-
-        for w in workers:
-            w.mark_busy(owner)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                env.now, "spe", spe.name, "task_start",
-                proc=ctx.rank, function=task.function, duration=duration,
-                workers=tuple(w.name for w in workers),
+        now = self.env.now
+        t_iter = task.spe_time * task.loop.coverage / task.loop.iterations
+        for j, w in enumerate(workers):
+            w_death = self.faults.death_time(w)
+            if w_death >= now + duration:
+                continue
+            frac = (
+                1.0
+                if duration <= 0
+                else (now + duration - max(w_death, now)) / duration
             )
-        # Master death inside the busy window loses the task: occupy the
-        # SPE only until its planned death, then report the failure.
-        if death < env.now + duration:
-            avail = max(0.0, death - env.now)
-            spe.mark_busy(owner)
-            try:
-                if avail > 0:
-                    yield env.timeout(avail)
-            finally:
-                spe.mark_idle()
-                for w in workers:
-                    w.mark_idle()
+            chunk = chunks[j + 1] if j + 1 < len(chunks) else 0
+            reclaimed = int(math.ceil(chunk * min(1.0, frac)))
+            extra = reclaimed * t_iter + self.machine.spe_signal_latency(w, spe)
+            duration += extra
+            self.stats.llp_recoveries += 1
+            self._m_llp_recoveries.inc()
             if self.tracer.enabled:
                 self.tracer.emit(
-                    env.now, "spe", spe.name, "task_abort",
-                    proc=ctx.rank, function=task.function, reason="spe_kill",
+                    now, "fault", spe.name, "llp_recovery",
+                    worker=w.name, died_at=w_death,
+                    reclaimed_iterations=reclaimed,
+                    extra_seconds=extra,
                 )
-            _give_back()
-            return "spe-dead"
-
-        try:
-            yield from spe.occupy(duration, owner)
-        finally:
-            for w in workers:
-                w.mark_idle()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                env.now, "spe", spe.name, "task_end",
-                proc=ctx.rank, function=task.function,
-            )
-        _give_back()
-        self.granularity.record_spe(task.function, base_duration)
-        # SPE -> PPE completion signal.
-        yield env.timeout(self.machine.signal_latency(ctx.cell_id, spe))
-        return "ok"
-
-    def _offload_tolerant(
-        self, ctx: ProcContext, task: TaskSpec, trace: BootstrapTrace, decision
-    ) -> Generator[Event, None, None]:
-        """THE fault-tolerant off-load path — the only one in the tree.
-
-        Each attempt dispatches and observes the outcome under the
-        policy's discipline:
-
-        * *pinned* policies retry against the same SPE (the baseline has
-          no pool to fail over to; a dead or blacklisted pinned SPE means
-          every remaining task of this process runs on the PPE), and a
-          *spinning* process observes the attempt's fate directly, so no
-          watchdog is armed;
-        * *pooled* policies acquire a (possibly different) SPE per
-          attempt and race the execution against a watchdog deadline; a
-          watchdog-abandoned attempt becomes a harmless zombie that
-          releases its SPE when it eventually finishes.
-
-        Failed attempts back off exponentially in simulated time; after
-        ``max_attempts`` failures — or when no live SPE remains — the
-        task executes its PPE version, which cannot fail.
-        """
-        env = self.env
-        tol = self.tolerance
-        pinned = self.policy.pinned
-        spe = ctx.pinned_spe if pinned else None
-        with self.spans.span("proc", ctx.actor, "offload") as sp:
-            if self.tracer.enabled:
-                sp.set(function=task.function, reason=decision.reason)
-            for attempt in range(tol.max_attempts):
-                if pinned and not spe.in_service:
-                    break
-                if self.tracer.enabled:
-                    # Attempt boundary: lets the causal layer rebuild
-                    # retries as sibling spans with the backoff waits
-                    # between them.
-                    self.tracer.emit(
-                        env.now, "fault", ctx.actor,
-                        "offload_attempt",
-                        function=task.function, attempt=attempt,
-                    )
-                if pinned:
-                    yield ctx.thread.run(self.cell.dispatch_overhead)
-                    workers: List[SPE] = []
-                    release = False
-                else:
-                    yield ctx.thread.run(self.cell.dispatch_overhead)
-                    spe = yield from self._acquire_spe(ctx, task)
-                    if spe is None:
-                        # Capacity exhausted: every SPE dead or blacklisted.
-                        break
-                    workers = self._acquire_workers(ctx, spe, task)
-                    if self.tracer.enabled:
-                        sp.set(spe=spe.name, llp_degree=1 + len(workers))
-                    release = True
-                self.stats.offloads += 1
-                if self.sinks_enabled:
-                    self._m_offloads.inc()
-                    if self.profiler is not None:
-                        self.profiler.count("runtime.offloads")
-                start = env.now
-                self.policy.on_dispatch(start)
-                done = env.process(
-                    self._spe_exec_faulty(
-                        ctx, spe, workers, task, trace, release=release
-                    ),
-                    name=f"exec.p{ctx.rank}",
-                )
-                if self.policy.spin:
-                    yield ctx.thread.spin_until(done)
-                    winner, status = done, done.value
-                else:
-                    deadline = tol.attempt_deadline(
-                        self._expected_attempt_time(task)
-                    )
-                    winner = yield env.any_of([done, env.timeout(deadline)])
-                    status = (
-                        done.value if winner is done else "watchdog-timeout"
-                    )
-                if winner is done and status == "ok":
-                    self._note_spe_success(spe)
-                    self.policy.on_departure(start, env.now)
-                    if self.sinks_enabled:
-                        self._m_offload_latency.observe(
-                            (env.now - start) * 1e6
-                        )
-                    yield ctx.thread.run(self.cell.completion_overhead)
-                    return
-                if status == "watchdog-timeout":
-                    self.stats.watchdog_timeouts += 1
-                    self._m_watchdog.inc()
-                self.stats.offload_retries += 1
-                if self.sinks_enabled:
-                    self._m_retries.inc()
-                self._note_spe_failure(spe)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        env.now, "fault", ctx.actor, "offload_retry",
-                        function=task.function, status=status,
-                        attempt=attempt, spe=spe.name,
-                    )
-                yield env.timeout(tol.backoff(attempt))
-            self.stats.retry_fallbacks += 1
-            self._m_retry_fallbacks.inc()
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    env.now, "fault", ctx.actor, "retry_fallback",
-                    function=task.function,
-                )
-        yield from self._ppe_fallback(ctx, task)
+        return duration

@@ -4,9 +4,9 @@ A :class:`SchedulingPolicy` is the *decision* half of a runtime: which
 SPE count a task should use (``llp_degree``), what to observe at every
 dispatch/departure, how to re-baseline when the machine loses capacity,
 and whether to admit an off-load the granularity test approved.  The
-*mechanics* half — SPE acquisition, DMA timing, the tolerant off-load
-path — lives in :class:`~repro.core.runtime.engine.OffloadEngine`, which
-delegates every decision to its bound policy.
+*mechanics* half — SPE acquisition, DMA timing, the one off-load path
+— lives in :class:`~repro.core.runtime.engine.OffloadEngine`, which is
+built with exactly one policy and delegates every decision to it.
 
 Policies register by name so experiments select them declaratively
 (``SchedulerSpec(kind="mgps")``) and third-party policies plug in

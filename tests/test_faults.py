@@ -11,6 +11,7 @@ timeline may change.
 """
 
 import math
+from functools import partial
 
 import pytest
 
@@ -18,8 +19,8 @@ from repro.cell.machine import CellMachine
 from repro.cell.params import BladeParams, CellParams
 from repro.core.history import UtilizationHistory
 from repro.core.runner import run_experiment
-from repro.core.runtime import EDTLPRuntime, MGPSRuntime, ProcContext
-from repro.core.schedulers import edtlp, linux, mgps
+from repro.core.runtime import EDTLPPolicy, MGPSPolicy, OffloadEngine, ProcContext
+from repro.core.schedulers import edtlp, linux, mgps, static_hybrid
 from repro.faults import FaultInjector, FaultPlan, SlowSPE, SPEKill, TolerancePolicy
 from repro.obs import MetricsRegistry
 from repro.sim.engine import Environment
@@ -30,7 +31,14 @@ from repro.workloads.traces import Workload
 # simulated time, so kills must land in the first ~1 ms to matter.
 KILL_T = 2e-5
 
-_FACTORIES = {"linux": linux, "edtlp": edtlp, "mgps": mgps}
+_FACTORIES = {
+    "linux": linux,
+    "edtlp": edtlp,
+    "mgps": mgps,
+    # Always-on LLP: the only entry whose off-loads carry loop workers in
+    # every run, so the only one that reaches mid-loop chunk recovery.
+    "edtlp-llp4": partial(static_hybrid, 4),
+}
 
 
 def _run(name, faults=None, bootstraps=4, tasks=60, seed=0, observed=False,
@@ -303,6 +311,26 @@ class TestToleranceEndToEnd:
         assert r_null.extras["offload_retries"] == 0
         assert r_null.extras["retry_fallbacks"] == 0
 
+    def test_null_plan_keeps_llp_worker_lanes(self):
+        # Fault-free and fault-plan runs share one off-load path, so the
+        # per-worker task records of loop-parallel off-loads survive a
+        # plan that injects nothing.
+        wl = Workload(bootstraps=2, tasks_per_bootstrap=40, seed=0)
+        counts = []
+        for faults in (None, FaultPlan()):
+            tracer = Tracer(enabled=True)
+            run_experiment(static_hybrid(4), wl, seed=0, faults=faults,
+                           tracer=tracer)
+            lanes = [r for r in tracer.filter(category="spe")
+                     if r.get("role") == "worker"]
+            counts.append((
+                sum(r.event == "task_start" for r in lanes),
+                sum(r.event == "task_end" for r in lanes),
+            ))
+        assert counts[0][0] > 0
+        assert counts[0][0] == counts[0][1]
+        assert counts[1] == counts[0]
+
 
 # -- chaos sweep (the headline invariant) -------------------------------------
 
@@ -329,9 +357,11 @@ class TestChaosSweep:
     def test_twenty_seeded_storms_never_change_results(
         self, scheduler, clean_digests
     ):
+        llp_recoveries = 0
         for seed in range(20):
             plan = _chaos_plan(seed)
             r, _t, _m = _run(scheduler, faults=plan, bootstraps=4, tasks=60)
+            llp_recoveries += r.extras["llp_recoveries"]
             assert r.bootstraps_completed == 4, (
                 f"{scheduler} lost bootstraps under chaos plan {seed}"
             )
@@ -339,6 +369,10 @@ class TestChaosSweep:
                 f"{scheduler} diverged from the fault-free results under "
                 f"chaos plan {seed}: {plan}"
             )
+        if scheduler == "edtlp-llp4":
+            # The sweep must reach the mid-loop recovery branch, not
+            # only survive it.
+            assert llp_recoveries > 0
 
 
 # -- MGPS degradation ---------------------------------------------------------
@@ -426,12 +460,14 @@ class TestDeterminism:
 # -- PPE fallback accounting (direct) -----------------------------------------
 
 class TestPPEFallbackAccounting:
-    @pytest.mark.parametrize("runtime_cls", [EDTLPRuntime, MGPSRuntime])
-    def test_fallback_updates_stats_metrics_and_trace(self, runtime_cls):
+    @pytest.mark.parametrize("policy_cls", [EDTLPPolicy, MGPSPolicy],
+                             ids=["edtlp", "mgps"])
+    def test_fallback_updates_stats_metrics_and_trace(self, policy_cls):
         env = Environment()
         machine = CellMachine(env, BladeParams())
         tracer, metrics = Tracer(enabled=True), MetricsRegistry()
-        rt = runtime_cls(env, machine, tracer=tracer, metrics=metrics)
+        rt = OffloadEngine(env, machine, policy=policy_cls(),
+                           tracer=tracer, metrics=metrics)
         ctx = ProcContext(
             rank=0, cell_id=0, thread=machine.cores[0].thread("mpi0")
         )
