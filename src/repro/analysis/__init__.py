@@ -1,73 +1,21 @@
 """Metrics, report rendering and the per-table/figure experiment harness."""
 
-from .experiments import (
-    ExperimentResult,
-    PAPER_SEC51,
-    PAPER_TABLE1_EDTLP,
-    PAPER_TABLE1_LINUX,
-    PAPER_TABLE2,
-    SWEEP_LARGE,
-    SWEEP_SMALL,
-    fig10_sweep,
-    figure_sweep,
-    sec51_offload_experiment,
-    table1_experiment,
-    table2_experiment,
-)
-from .efficiency_study import (
-    DEFAULT_ECONOMICS,
-    PlatformEconomics,
-    efficiency_table,
-)
-from .parallel import parallel_sweep, run_points
-from .metrics import (
-    best_scheduler,
-    crossover,
-    efficiency,
-    llp_chunk_profile,
-    offload_latency_percentiles,
-    registry_value,
-    render_scheduler_summary,
-    scaling_efficiency,
-    scheduler_summary,
-    speedup,
-)
-from .report import format_series, format_table, paper_comparison
-from .timeline import TaskSpan, extract_spans, render_timeline, utilization_bar
+from .. import _lazy
 
-__all__ = [
-    "ExperimentResult",
-    "sec51_offload_experiment",
-    "table1_experiment",
-    "table2_experiment",
-    "figure_sweep",
-    "fig10_sweep",
-    "PAPER_TABLE1_EDTLP",
-    "PAPER_TABLE1_LINUX",
-    "PAPER_TABLE2",
-    "PAPER_SEC51",
-    "SWEEP_SMALL",
-    "SWEEP_LARGE",
-    "speedup",
-    "efficiency",
-    "scaling_efficiency",
-    "crossover",
-    "best_scheduler",
-    "registry_value",
-    "offload_latency_percentiles",
-    "llp_chunk_profile",
-    "scheduler_summary",
-    "render_scheduler_summary",
-    "format_table",
-    "format_series",
-    "paper_comparison",
-    "render_timeline",
-    "utilization_bar",
-    "extract_spans",
-    "TaskSpan",
-    "PlatformEconomics",
-    "DEFAULT_ECONOMICS",
-    "efficiency_table",
-    "parallel_sweep",
-    "run_points",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "experiments": ("ExperimentResult", "PAPER_SEC51", "PAPER_TABLE1_EDTLP",
+                    "PAPER_TABLE1_LINUX", "PAPER_TABLE2", "SWEEP_LARGE",
+                    "SWEEP_SMALL", "fig10_sweep", "figure_sweep",
+                    "sec51_offload_experiment", "table1_experiment",
+                    "table2_experiment"),
+    "efficiency_study": ("DEFAULT_ECONOMICS", "PlatformEconomics",
+                         "efficiency_table"),
+    "parallel": ("parallel_sweep", "run_points"),
+    "metrics": ("best_scheduler", "crossover", "efficiency",
+                "llp_chunk_profile", "offload_latency_percentiles",
+                "registry_value", "render_scheduler_summary",
+                "scaling_efficiency", "scheduler_summary", "speedup"),
+    "report": ("format_series", "format_table", "paper_comparison"),
+    "timeline": ("TaskSpan", "extract_spans", "render_timeline",
+                 "utilization_bar"),
+})

@@ -6,29 +6,14 @@ local stores and code-image management, MFC DMA engines implementing the
 documented transfer rules, and the Element Interconnect Bus.
 """
 
-from .eib import EIB
-from .local_store import CodeImage, LocalStore, LocalStoreOverflow
-from .machine import CellMachine, SPEPool
-from .mfc import MFC, DmaRequest, legal_transfer_size
-from .params import BladeParams, CellParams, DEFAULT_BLADE, DEFAULT_CELL
-from .smt import CoreThread, SMTCore
-from .spe import SPE
+from .. import _lazy
 
-__all__ = [
-    "CellParams",
-    "BladeParams",
-    "DEFAULT_CELL",
-    "DEFAULT_BLADE",
-    "CellMachine",
-    "SPEPool",
-    "SPE",
-    "SMTCore",
-    "CoreThread",
-    "MFC",
-    "DmaRequest",
-    "legal_transfer_size",
-    "EIB",
-    "LocalStore",
-    "CodeImage",
-    "LocalStoreOverflow",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "eib": ("EIB",),
+    "local_store": ("CodeImage", "LocalStore", "LocalStoreOverflow"),
+    "machine": ("CellMachine", "SPEPool"),
+    "mfc": ("MFC", "DmaRequest", "legal_transfer_size"),
+    "params": ("BladeParams", "CellParams", "DEFAULT_BLADE", "DEFAULT_CELL"),
+    "smt": ("CoreThread", "SMTCore"),
+    "spe": ("SPE",),
+})

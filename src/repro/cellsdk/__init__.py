@@ -6,7 +6,9 @@ program images, mailboxes, and SPU-side DMA — see
 automates everything this API makes manual.
 """
 
-from .context import SpeContext, spe_context_create
-from .program import SpeProgram, SpuRuntime
+from .. import _lazy
 
-__all__ = ["SpeContext", "spe_context_create", "SpeProgram", "SpuRuntime"]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "context": ("SpeContext", "spe_context_create"),
+    "program": ("SpeProgram", "SpuRuntime"),
+})

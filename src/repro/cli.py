@@ -32,21 +32,22 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Tuple
 
-from .analysis import (
+from .analysis.experiments import (
     SWEEP_LARGE,
     SWEEP_SMALL,
     fig10_sweep,
     figure_sweep,
-    render_scheduler_summary,
     sec51_offload_experiment,
     table1_experiment,
     table2_experiment,
 )
+from .analysis.metrics import render_scheduler_summary
 from .analysis.timeline import render_timeline, utilization_bar
 from .core.llp import LLPConfig, available_loop_schedules
 from .core.runner import run_experiment
 from .core.schedulers import SchedulerSpec, edtlp, linux, mgps, static_hybrid
-from .obs import MetricsRegistry, write_chrome_trace, write_trace_jsonl
+from .obs.export import write_chrome_trace, write_trace_jsonl
+from .obs.metrics import MetricsRegistry
 from .sim.trace import Tracer
 from .workloads.traces import Workload
 
@@ -586,7 +587,7 @@ def _apply_llp_schedule(
 
 def _blade_kills(texts: List[str]) -> list:
     """Parse repeated ``--kill-blade BLADE:TIME`` flags (serve, dag)."""
-    from .serve import BladeKill
+    from .serve.fleet import BladeKill
 
     kills = []
     for text in texts:
@@ -610,7 +611,8 @@ def _write_html_report(command: str, path: str, observe, title: str,
     """
     import pathlib
 
-    from .obs import analyze_run, write_report
+    from .obs.monitor import analyze_run
+    from .obs.report import write_report
 
     if not pathlib.Path(path).parent.is_dir():
         print(f"repro {command}: error: directory of {path!r} does not "
@@ -637,7 +639,7 @@ def _run_observed(
         # and --llp-schedule don't apply to the representative run.
         from types import SimpleNamespace
 
-        from .serve import ServeConfig, default_tenants, run_service
+        from .serve.service import ServeConfig, default_tenants, run_service
 
         tracer = Tracer(enabled=True)
         metrics = MetricsRegistry()
@@ -790,7 +792,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"(open at https://ui.perfetto.dev)")
     elif args.command == "stats":
         from .analysis.metrics import scheduler_summary
-        from .obs import parse_threshold, resolve_metric
+        from .obs.monitor import parse_threshold, resolve_metric
 
         try:
             rules = [parse_threshold(expr) for expr in args.fail_on]
@@ -831,7 +833,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "health":
         import json as _json
 
-        from .obs import analyze_run, render_findings
+        from .obs.monitor import analyze_run, render_findings
 
         tracer, metrics, result = _run_observed(
             args.scenario, args.bootstraps, args.tasks, args.seed,
@@ -849,7 +851,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "report":
         import pathlib
 
-        from .obs import Profiler, analyze_run, write_report
+        from .obs.monitor import analyze_run
+        from .obs.profile import Profiler
+        from .obs.report import write_report
 
         if not pathlib.Path(args.out).parent.is_dir():
             print(f"repro report: error: directory of {args.out!r} does "
@@ -873,15 +877,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "explain":
         import json as _json
 
-        from .obs import (
+        from .obs.attribution import (
             aggregate_breakdown,
-            build_job_trees,
-            build_offload_trees,
-            critical_path,
             job_summary,
             publish_breakdown,
             render_explain,
             top_slowest,
+        )
+        from .obs.causal import (
+            build_job_trees,
+            build_offload_trees,
+            critical_path,
         )
 
         tracer, metrics, result = _run_observed(
@@ -936,8 +942,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "profile":
         import json as _json
 
-        from .obs import Profiler
-        from .obs.profile import render_profile, write_profile_trace
+        from .obs.profile import Profiler, render_profile, write_profile_trace
 
         profiler = Profiler(keep_spans=bool(args.perfetto))
         tracer, metrics, result = _run_observed(
@@ -964,7 +969,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         import pathlib
 
         from .cell.params import BladeParams
-        from .faults import FaultPlan, SPEKill, SlowSPE
+        from .faults.plan import FaultPlan, SPEKill, SlowSPE
 
         def parse_pair(text: str, flag: str) -> Tuple[int, float]:
             try:
@@ -1080,16 +1085,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "serve":
         import dataclasses
 
-        from .serve import (
+        from .serve.fleet import (
             BladeFlap,
             BladeSlow,
             FleetFaultPlan,
             LinkDegrade,
-            ResilienceConfig,
-            ServeConfig,
-            default_tenants,
-            run_service,
         )
+        from .serve.resilience import ResilienceConfig
+        from .serve.service import ServeConfig, default_tenants, run_service
 
         def parse_fault(text: str, flag: str, shape: str,
                         n_min: int, n_max: int):
@@ -1216,13 +1219,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "dag":
         import dataclasses
 
-        from .serve import (
-            BootstopConfig,
-            DagConfig,
-            FleetFaultPlan,
-            raxml_workflow,
-            run_dag,
-        )
+        from .serve.bootstop import BootstopConfig
+        from .serve.dag import DagConfig, raxml_workflow, run_dag
+        from .serve.fleet import FleetFaultPlan
 
         try:
             kills = _blade_kills(args.kill_blade)
@@ -1358,7 +1357,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"  LLP        : {result.llp_invocations} invocations")
     elif args.command == "schedulers":
-        from .core.runtime import available_policies
+        from .core.runtime.policy import available_policies
 
         print("scheduling policies (SchedulerSpec kind):")
         for info in available_policies():

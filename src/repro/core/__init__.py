@@ -1,38 +1,17 @@
 """The paper's contribution: EDTLP, LLP and MGPS scheduling on Cell."""
 
-from .cluster import ClusterResult, run_cluster_experiment
-from .granularity import GranularityGovernor, OffloadDecision
-from .history import UtilizationHistory
-from .llp import LLPConfig, LLPInvocation, LoopParallelModel, split_iterations
-from .oracle import OracleChoice, OracleSelector, default_candidates
-from .results import ScheduleResult
-from .runner import run_bsp_experiment, run_experiment, run_sweep
-from .runtime import OffloadEngine, ProcContext, RuntimeStats
-from .schedulers import SchedulerSpec, edtlp, linux, mgps, static_hybrid
+from .. import _lazy
 
-__all__ = [
-    "SchedulerSpec",
-    "linux",
-    "edtlp",
-    "static_hybrid",
-    "mgps",
-    "run_experiment",
-    "run_sweep",
-    "run_bsp_experiment",
-    "run_cluster_experiment",
-    "ClusterResult",
-    "ScheduleResult",
-    "OffloadEngine",
-    "ProcContext",
-    "RuntimeStats",
-    "GranularityGovernor",
-    "OffloadDecision",
-    "UtilizationHistory",
-    "LLPConfig",
-    "LLPInvocation",
-    "LoopParallelModel",
-    "split_iterations",
-    "OracleSelector",
-    "OracleChoice",
-    "default_candidates",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "cluster": ("ClusterResult", "run_cluster_experiment"),
+    "granularity": ("GranularityGovernor", "OffloadDecision"),
+    "history": ("UtilizationHistory",),
+    "llp": ("LLPConfig", "LLPInvocation", "LoopParallelModel",
+            "split_iterations"),
+    "oracle": ("OracleChoice", "OracleSelector", "default_candidates"),
+    "results": ("ScheduleResult",),
+    "runner": ("run_bsp_experiment", "run_experiment", "run_sweep"),
+    "runtime": ("OffloadEngine", "ProcContext", "RuntimeStats"),
+    "schedulers": ("SchedulerSpec", "edtlp", "linux", "mgps", "static_hybrid"),
+    "llp_sim": (),
+})

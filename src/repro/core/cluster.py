@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..cell.params import BladeParams
+from ..serve.dispatch import resolve_dispatch
 from ..workloads.traces import Workload
 from .results import ScheduleResult
 from .runner import run_experiment
@@ -73,10 +74,6 @@ def run_cluster_experiment(
     (see :func:`repro.serve.dispatch.available_dispatch_policies`); the
     default ``static-block`` is the historical contiguous layout.
     """
-    # Imported lazily: repro.core loads before repro.serve during package
-    # initialization, and serve's fleet module imports back into core.
-    from ..serve.dispatch import resolve_dispatch
-
     policy = resolve_dispatch(dispatch).factory()
     blocks = policy.partition(total_bootstraps, n_blades)
     results: List[ScheduleResult] = []

@@ -20,13 +20,16 @@ from typing import List, Optional, Sequence
 
 from ..cell.machine import CellMachine
 from ..cell.params import BladeParams, DEFAULT_BLADE
+from ..faults.injector import FaultInjector
 from ..mpi.master_worker import WorkDispenser
-from ..mpi.process import mpi_worker
+from ..mpi.process import bsp_worker, mpi_worker
+from ..obs.metrics import labeled
 from ..sim.engine import Environment
+from ..sim.resources import Barrier
 from ..sim.trace import Tracer
 from ..workloads.traces import Workload
 from .results import ScheduleResult
-from .runtime import ProcContext
+from .runtime.context import ProcContext
 from .schedulers import SchedulerSpec
 
 __all__ = ["run_experiment", "run_sweep", "run_bsp_experiment"]
@@ -40,8 +43,6 @@ def _publish_run_metrics(
     These are the numbers :mod:`repro.analysis.metrics` reads back
     instead of recomputing them from busy intervals.
     """
-    from ..obs.metrics import labeled
-
     g = metrics.gauge
     g("run.raw_makespan_s", "simulated makespan, seconds").set(raw)
     g("run.makespan_s", "paper-scale makespan, seconds").set(raw * scale)
@@ -90,8 +91,6 @@ def _build_injector(env, machine, faults, tracer, metrics):
     """Turn a FaultPlan (or ready injector) into an installed injector."""
     if faults is None:
         return None
-    from ..faults.injector import FaultInjector
-
     if not isinstance(faults, FaultInjector):
         faults = FaultInjector(
             env, machine, faults, tracer=tracer, metrics=metrics
@@ -267,9 +266,6 @@ def run_bsp_experiment(
     global barrier.  Reported times are scaled by ``workload.scale``
     (1.0 by default: BSP workloads are simulated in full).
     """
-    from ..mpi.process import bsp_worker
-    from ..sim.resources import Barrier
-
     env = Environment(tracer=tracer, metrics=metrics, profiler=profiler)
     if profiler is not None and tracer is not None:
         tracer.profiler = profiler

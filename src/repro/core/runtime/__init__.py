@@ -14,33 +14,13 @@ Three separable concerns, three layers:
   (``LLPConfig.schedule`` selects static / dynamic / guided / adaptive).
 """
 
-from .context import ProcContext, RuntimeStats
-from .engine import OffloadEngine
-from .policies import (
-    EDTLPPolicy,
-    LinuxPolicy,
-    MGPSPolicy,
-    StaticHybridPolicy,
-)
-from .policy import (
-    PolicyInfo,
-    SchedulingPolicy,
-    available_policies,
-    register_policy,
-    resolve_policy,
-)
+from ... import _lazy
 
-__all__ = [
-    "OffloadEngine",
-    "SchedulingPolicy",
-    "PolicyInfo",
-    "register_policy",
-    "resolve_policy",
-    "available_policies",
-    "LinuxPolicy",
-    "EDTLPPolicy",
-    "StaticHybridPolicy",
-    "MGPSPolicy",
-    "ProcContext",
-    "RuntimeStats",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "context": ("ProcContext", "RuntimeStats"),
+    "engine": ("OffloadEngine",),
+    "policies": ("EDTLPPolicy", "LinuxPolicy", "MGPSPolicy",
+                 "StaticHybridPolicy"),
+    "policy": ("PolicyInfo", "SchedulingPolicy", "available_policies",
+               "register_policy", "resolve_policy"),
+})

@@ -146,3 +146,9 @@ def resolve_policy(name: str) -> PolicyInfo:
 def available_policies() -> List[PolicyInfo]:
     """Every registered policy, sorted by name."""
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
+
+
+# The paper's four schedulers register themselves when their module
+# loads; loading it here fills the registry for every importer of this
+# module, whichever of the two loads first.
+from . import policies

@@ -21,7 +21,8 @@ from typing import Optional
 from ..cell.machine import CellMachine
 from ..sim.engine import Environment
 from .llp import LLPConfig
-from .runtime import OffloadEngine, resolve_policy
+from .runtime.engine import OffloadEngine
+from .runtime.policy import resolve_policy
 
 __all__ = ["SchedulerSpec", "linux", "edtlp", "static_hybrid", "mgps"]
 

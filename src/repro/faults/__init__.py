@@ -14,14 +14,10 @@ the PPE alive, every run completes and produces application results
 bit-identical to the fault-free run — only the timeline changes.
 """
 
-from .injector import FaultInjector
-from .plan import FaultPlan, SPEKill, SlowSPE
-from .tolerance import TolerancePolicy
+from .. import _lazy
 
-__all__ = [
-    "FaultInjector",
-    "FaultPlan",
-    "SPEKill",
-    "SlowSPE",
-    "TolerancePolicy",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "injector": ("FaultInjector",),
+    "plan": ("FaultPlan", "SPEKill", "SlowSPE"),
+    "tolerance": ("TolerancePolicy",),
+})

@@ -21,6 +21,7 @@ nothing and perturbs nothing.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, Generator, List, Optional
 
 from ..cell.machine import CellMachine
@@ -172,7 +173,6 @@ class FaultInjector:
             return 1.0
         factor = slow.factor
         if slow.jitter > 0.0:
-            import math
             z = self._streams.stream(f"slow.{spe.name}").standard_normal()
             factor *= math.exp(slow.jitter * float(z))
         self._m_slow.inc()

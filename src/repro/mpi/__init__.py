@@ -1,7 +1,9 @@
 """Simulated MPI substrate: communicator, master-worker, worker processes."""
 
-from .comm import SimComm
-from .master_worker import WorkDispenser
-from .process import bsp_worker, mpi_worker
+from .. import _lazy
 
-__all__ = ["SimComm", "WorkDispenser", "mpi_worker", "bsp_worker"]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "comm": ("SimComm",),
+    "master_worker": ("WorkDispenser",),
+    "process": ("bsp_worker", "mpi_worker"),
+})

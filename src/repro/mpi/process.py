@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..core.runtime import OffloadEngine, ProcContext
+from ..core.runtime.context import ProcContext
+from ..core.runtime.engine import OffloadEngine
 from ..sim.events import Event
 from ..sim.resources import Barrier
 from ..workloads.traces import Workload

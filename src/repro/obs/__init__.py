@@ -28,118 +28,26 @@ package makes those decisions observable without perturbing them:
 Everything is stdlib-only and hangs off per-run objects — no globals.
 """
 
-from .attribution import (
-    aggregate_breakdown,
-    job_summary,
-    publish_breakdown,
-    render_explain,
-    top_slowest,
-)
-from .bench import (
-    check_baselines,
-    check_perf_floors,
-    compare,
-    measure_core,
-    measure_faults,
-    measure_serve,
-    measure_throughput,
-)
-from .export import (
-    chrome_trace,
-    chrome_trace_events,
-    write_chrome_trace,
-    write_metrics_snapshot,
-    write_trace_jsonl,
-)
-from .causal import (
-    JobTree,
-    PHASE_ORDER,
-    ReconciliationError,
-    SpanNode,
-    build_job_trees,
-    build_offload_trees,
-    critical_path,
-)
-from .metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    labeled,
-)
-from .monitor import (
-    HealthFinding,
-    HealthMonitor,
-    MonitorConfig,
-    Threshold,
-    analyze_run,
-    parse_threshold,
-    render_findings,
-    resolve_metric,
-)
-from .profile import (
-    Profiler,
-    profile_chrome_events,
-    render_profile,
-    write_profile_trace,
-)
-from .report import render_report, write_report
-from .spans import NULL_SPAN, Span, SpanRecorder
-from .timeseries import TimeSeries, sample_timeseries
+from .. import _lazy
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "DEFAULT_BUCKETS",
-    "labeled",
-    "Span",
-    "SpanRecorder",
-    "NULL_SPAN",
-    "chrome_trace",
-    "chrome_trace_events",
-    "write_chrome_trace",
-    "write_trace_jsonl",
-    "write_metrics_snapshot",
-    "HealthFinding",
-    "HealthMonitor",
-    "MonitorConfig",
-    "Threshold",
-    "analyze_run",
-    "parse_threshold",
-    "render_findings",
-    "resolve_metric",
-    "render_report",
-    "write_report",
-    "Profiler",
-    "profile_chrome_events",
-    "render_profile",
-    "write_profile_trace",
-    "measure_core",
-    "measure_faults",
-    "measure_serve",
-    "measure_throughput",
-    "compare",
-    "check_baselines",
-    "check_perf_floors",
-    "JobTree",
-    "PHASE_ORDER",
-    "ReconciliationError",
-    "SpanNode",
-    "build_job_trees",
-    "build_offload_trees",
-    "critical_path",
-    "aggregate_breakdown",
-    "job_summary",
-    "publish_breakdown",
-    "render_explain",
-    "top_slowest",
-    "TimeSeries",
-    "sample_timeseries",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "attribution": ("aggregate_breakdown", "job_summary",
+                    "publish_breakdown", "render_explain", "top_slowest"),
+    "bench": ("check_baselines", "check_perf_floors", "compare",
+              "measure_core", "measure_faults", "measure_serve",
+              "measure_throughput"),
+    "export": ("chrome_trace", "chrome_trace_events", "write_chrome_trace",
+               "write_metrics_snapshot", "write_trace_jsonl"),
+    "causal": ("JobTree", "PHASE_ORDER", "ReconciliationError", "SpanNode",
+               "build_job_trees", "build_offload_trees", "critical_path"),
+    "metrics": ("Counter", "DEFAULT_BUCKETS", "Gauge", "Histogram",
+                "MetricsRegistry", "NULL_REGISTRY", "NullRegistry", "labeled"),
+    "monitor": ("HealthFinding", "HealthMonitor", "MonitorConfig",
+                "Threshold", "analyze_run", "parse_threshold",
+                "render_findings", "resolve_metric"),
+    "profile": ("Profiler", "profile_chrome_events", "render_profile",
+                "write_profile_trace"),
+    "report": ("render_report", "write_report"),
+    "spans": ("NULL_SPAN", "Span", "SpanRecorder"),
+    "timeseries": ("TimeSeries", "sample_timeseries"),
+})

@@ -51,11 +51,24 @@ import json
 import os
 import pathlib
 import time
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-# NOTE: repro.core imports repro.obs at module load (for NULL_REGISTRY),
-# so this module must not import repro.core at the top level; the
-# scheduler/runner imports happen inside the functions that need them.
+from ..core.llp import LLPConfig, available_loop_schedules
+from ..core.runner import run_experiment
+from ..core.schedulers import SchedulerSpec, edtlp, mgps, static_hybrid
+from ..faults.plan import FaultPlan, SPEKill
+from ..serve.bootstop import BootstopConfig
+from ..serve.chaos import ChaosConfig, run_chaos
+from ..serve.dag import DagConfig, raxml_workflow, run_dag
+from ..serve.fleet import BladeSlow, FleetFaultPlan
+from ..serve.jobs import JobTemplate, TenantSpec
+from ..serve.resilience import ResilienceConfig
+from ..serve.service import ServeConfig, default_tenants, run_service
+from ..sim.trace import Tracer
+from ..workloads.traces import Workload
+from .attribution import aggregate_breakdown
+from .causal import build_job_trees
 from .metrics import stable_round
 
 __all__ = [
@@ -213,10 +226,8 @@ def find_repo_root(start: Optional[pathlib.Path] = None) -> pathlib.Path:
     return pathlib.Path(__file__).resolve().parents[3]
 
 
-def core_schedulers() -> List[Tuple[str, "SchedulerSpec"]]:
+def core_schedulers() -> List[Tuple[str, SchedulerSpec]]:
     """The tracked scheduler ladder, slowest first."""
-    from ..core.schedulers import edtlp, mgps, static_hybrid
-
     return [
         ("serial", edtlp(n_processes=1, label="serial")),
         ("edtlp", edtlp()),
@@ -236,9 +247,6 @@ def measure_core(
     All fields are deterministic except the per-scheduler
     ``seconds_wall`` timings.
     """
-    from ..core.runner import run_experiment
-    from ..workloads.traces import Workload
-
     rows: Dict[str, Dict[str, Any]] = {}
     for name, spec in core_schedulers():
         wl = Workload(bootstraps=bootstraps, tasks_per_bootstrap=tasks, seed=seed)
@@ -259,11 +267,6 @@ def measure_core(
     # (EDTLP-LLP4), the scheduler whose makespan is most sensitive to
     # iteration distribution.  The ``static`` row must reproduce the
     # ladder's edtlp-llp4 row exactly — same spec, default schedule.
-    from dataclasses import replace
-
-    from ..core.llp import LLPConfig, available_loop_schedules
-    from ..core.schedulers import static_hybrid
-
     schedule_rows: Dict[str, Dict[str, Any]] = {}
     for sched in available_loop_schedules():
         wl = Workload(bootstraps=bootstraps, tasks_per_bootstrap=tasks, seed=seed)
@@ -322,11 +325,6 @@ def measure_faults(
     results are bit-identical to the fault-free run.  All fields are
     deterministic except ``seconds_wall``.
     """
-    from ..core.runner import run_experiment
-    from ..core.schedulers import mgps
-    from ..faults import FaultPlan, SPEKill
-    from ..workloads.traces import Workload
-
     def one(faults):
         wl = Workload(
             bootstraps=bootstraps, tasks_per_bootstrap=tasks, seed=seed
@@ -397,17 +395,6 @@ def measure_fleet_faults(
     the enforcement cell.  All fields deterministic except
     ``seconds_wall``.
     """
-    from ..serve import (
-        BladeSlow,
-        FleetFaultPlan,
-        JobTemplate,
-        ResilienceConfig,
-        ServeConfig,
-        TenantSpec,
-        run_service,
-    )
-    from ..serve.chaos import ChaosConfig, run_chaos
-
     t0 = time_source()
     soak = run_chaos(ChaosConfig(
         plans=3, seed=seed, mix="storm", duration_s=1800.0,
@@ -478,8 +465,6 @@ def measure_serve(
     static-block fixed run) plus ``digest_invariant_under_tracing``,
     proving the causal collection never perturbs outcomes.
     """
-    from ..serve import ServeConfig, default_tenants, run_service
-
     tenants = default_tenants(arrival_rate=arrival_rate)
     policies: Dict[str, Dict[str, Any]] = {}
     for dispatch in SERVE_POLICIES:
@@ -538,10 +523,6 @@ def measure_serve(
     # folded into causal job trees and aggregated per tenant.  The same
     # configuration is re-run untraced and its digest map compared —
     # attaching the tracer must never change a simulated outcome.
-    from ..sim.trace import Tracer
-    from .attribution import aggregate_breakdown
-    from .causal import build_job_trees
-
     base_cfg = ServeConfig(
         tenants=tenants,
         duration_s=duration_s,
@@ -622,8 +603,6 @@ def measure_dag(
 
     All fields are deterministic except the per-cell ``seconds_wall``.
     """
-    from ..serve import BootstopConfig, DagConfig, raxml_workflow, run_dag
-
     def cell(config: DagConfig) -> Tuple[Dict[str, Any], Any]:
         t0 = time_source()
         result = run_dag(config)
@@ -730,11 +709,6 @@ def measure_throughput(
     :func:`compare` like any other field; the ``*_per_sec_wall`` rates
     are enforced only as one-sided floors by :func:`check_perf_floors`.
     """
-    from ..core.runner import run_experiment
-    from ..core.schedulers import mgps
-    from ..serve import ServeConfig, default_tenants, run_service
-    from ..workloads.traces import Workload
-
     def best_of(fn):
         best, result = float("inf"), None
         for _ in range(max(1, reps)):

@@ -33,6 +33,7 @@ import json
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .export import chrome_trace_events
 from .metrics import DEFAULT_BUCKETS, Histogram
 
 __all__ = [
@@ -315,8 +316,6 @@ def write_profile_trace(tracer: Any, profiler: Profiler, path: Any) -> str:
     time) and the wall-clock spans pid 1000 (microseconds of wall time);
     Perfetto renders both tracks in one view.  Returns the path.
     """
-    from .export import chrome_trace_events
-
     events = chrome_trace_events(tracer) if tracer is not None else []
     events.extend(profile_chrome_events(profiler))
     doc = {

@@ -42,7 +42,10 @@ import re
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..sim.trace import Tracer
+from .attribution import aggregate_breakdown
+from .causal import build_job_trees
 from .monitor import HealthFinding
+from .timeseries import sample_timeseries
 
 __all__ = ["render_report", "write_report"]
 
@@ -472,10 +475,6 @@ def _attribution_html(tracer) -> str:
     records = getattr(tracer, "records", ())
     if not any(r.category == "serve" for r in records):
         return ""
-    from .attribution import aggregate_breakdown
-    from .causal import build_job_trees
-    from .timeseries import sample_timeseries
-
     trees = build_job_trees(tracer)
     breakdown = aggregate_breakdown(trees)
     parts = ['<h3>Sojourn phase breakdown</h3>']

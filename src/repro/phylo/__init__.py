@@ -7,76 +7,26 @@ bridge that replays recorded kernel invocations through the simulated
 Cell machine.
 """
 
-from .alignment import (
-    Alignment,
-    Alphabet,
-    DNA,
-    PROTEIN,
-    bootstrap_weights,
-    synthesize_alignment,
-)
-from .cat import estimate_pattern_rates, fit_cat, quantize_rates
-from .consensus import annotate_support, majority_rule_consensus, split_frequencies
-from .distance import jc_distance_matrix, neighbor_joining, p_distance_matrix
-from .bootstrap import (
-    BootstrapAnalysis,
-    BootstrapReplicate,
-    branch_support,
-    run_bootstrap_analysis,
-)
-from .likelihood import KernelLog, LikelihoodEngine
-from .models import (
-    SubstitutionModel,
-    discrete_gamma_rates,
-    gtr,
-    hky,
-    jc69,
-    protein_poisson,
-)
-from .modelfit import golden_section_maximize, optimize_alpha, optimize_kappa
-from .newick import parse_newick
-from .raxml import KernelCostModel, fit_profile, profile_report, trace_from_kernel_log
-from .search import SearchResult, hill_climb
-from .tree import Node, Tree
+from .. import _lazy
 
-__all__ = [
-    "Alignment",
-    "synthesize_alignment",
-    "bootstrap_weights",
-    "SubstitutionModel",
-    "gtr",
-    "hky",
-    "jc69",
-    "discrete_gamma_rates",
-    "Tree",
-    "Node",
-    "LikelihoodEngine",
-    "KernelLog",
-    "SearchResult",
-    "hill_climb",
-    "BootstrapAnalysis",
-    "BootstrapReplicate",
-    "run_bootstrap_analysis",
-    "branch_support",
-    "KernelCostModel",
-    "trace_from_kernel_log",
-    "profile_report",
-    "fit_profile",
-    "p_distance_matrix",
-    "jc_distance_matrix",
-    "neighbor_joining",
-    "parse_newick",
-    "golden_section_maximize",
-    "optimize_kappa",
-    "optimize_alpha",
-    "Alphabet",
-    "DNA",
-    "PROTEIN",
-    "protein_poisson",
-    "split_frequencies",
-    "majority_rule_consensus",
-    "annotate_support",
-    "estimate_pattern_rates",
-    "quantize_rates",
-    "fit_cat",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "alignment": ("Alignment", "Alphabet", "DNA", "PROTEIN",
+                  "bootstrap_weights", "synthesize_alignment"),
+    "cat": ("estimate_pattern_rates", "fit_cat", "quantize_rates"),
+    "consensus": ("annotate_support", "majority_rule_consensus",
+                  "split_frequencies"),
+    "distance": ("jc_distance_matrix", "neighbor_joining",
+                 "p_distance_matrix"),
+    "bootstrap": ("BootstrapAnalysis", "BootstrapReplicate",
+                  "branch_support", "run_bootstrap_analysis"),
+    "likelihood": ("KernelLog", "LikelihoodEngine"),
+    "models": ("SubstitutionModel", "discrete_gamma_rates", "gtr", "hky",
+               "jc69", "protein_poisson"),
+    "modelfit": ("golden_section_maximize", "optimize_alpha",
+                 "optimize_kappa"),
+    "newick": ("parse_newick",),
+    "raxml": ("KernelCostModel", "fit_profile", "profile_report",
+              "trace_from_kernel_log"),
+    "search": ("SearchResult", "hill_climb"),
+    "tree": ("Node", "Tree"),
+})

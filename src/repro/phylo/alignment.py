@@ -22,6 +22,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .models import hky
+
 __all__ = ["Alphabet", "DNA", "PROTEIN", "Alignment", "synthesize_alignment",
            "bootstrap_weights"]
 
@@ -218,8 +220,6 @@ def synthesize_alignment(
     Returns the compressed alignment (the generating tree is deliberately
     *not* returned — the inference examples must rediscover it).
     """
-    from .models import hky
-
     if n_taxa < 3:
         raise ValueError("need at least 3 taxa")
     if n_sites < 1:

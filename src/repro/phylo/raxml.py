@@ -15,7 +15,7 @@ patterns, which is how the real kernels behave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -155,8 +155,6 @@ def fit_profile(
     total = sum(times.values())
     if total <= 0:
         raise ValueError("no kernel time recorded")
-
-    from dataclasses import replace
 
     functions = []
     for fprof in base.functions:

@@ -1,6 +1,8 @@
 """Comparator processor models for the cross-platform evaluation."""
 
-from .base import SMTMultiprocessor
-from .machines import POWER5, XEON_2X_HT, power5, xeon
+from .. import _lazy
 
-__all__ = ["SMTMultiprocessor", "XEON_2X_HT", "POWER5", "xeon", "power5"]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "base": ("SMTMultiprocessor",),
+    "machines": ("POWER5", "XEON_2X_HT", "power5", "xeon"),
+})

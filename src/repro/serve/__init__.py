@@ -36,116 +36,29 @@ Layers (client to metal):
   randomized fault plans.
 """
 
-from .admission import DispatchUnit, FrontEnd, TokenBucket
-from .autoscaler import Autoscaler, AutoscalerConfig
-from .bootstop import BootstopConfig, BootstopMonitor
-from .cache import CacheEntry, ResultCache, content_key
-from .dag import (
-    DagConfig,
-    DagResult,
-    StageSpec,
-    WorkflowEngine,
-    WorkflowSpec,
-    raxml_workflow,
-    replicate_tree,
-    run_dag,
-)
-from .dispatch import (
-    DispatchInfo,
-    DispatchPolicy,
-    available_dispatch_policies,
-    block_partition,
-    register_dispatch,
-    resolve_dispatch,
-)
-from .chaos import (
-    ChaosConfig,
-    ChaosReport,
-    chaos_tenants,
-    random_fleet_fault_plan,
-    run_chaos,
-)
-from .fleet import (
-    BladeFlap,
-    BladeKill,
-    BladeSlow,
-    BladeState,
-    CompiledJob,
-    FleetFaultPlan,
-    JobCompiler,
-    LinkDegrade,
-    scheduler_by_name,
-)
-from .jobs import Job, JobTemplate, TenantSpec, job_seed
-from .resilience import (
-    BREAKER_STATES,
-    FleetResilience,
-    LEGAL_BREAKER_TRANSITIONS,
-    ResilienceConfig,
-    count_breaker_cycles,
-)
-from .service import (
-    ServeConfig,
-    ServeResult,
-    Service,
-    default_tenants,
-    run_service,
-)
-from .slo import ServeStats, exact_percentile
+from .. import _lazy
 
-__all__ = [
-    "Autoscaler",
-    "AutoscalerConfig",
-    "BREAKER_STATES",
-    "BladeFlap",
-    "BladeKill",
-    "BladeSlow",
-    "BladeState",
-    "BootstopConfig",
-    "BootstopMonitor",
-    "CacheEntry",
-    "ChaosConfig",
-    "ChaosReport",
-    "CompiledJob",
-    "DagConfig",
-    "DagResult",
-    "DispatchInfo",
-    "DispatchPolicy",
-    "DispatchUnit",
-    "FleetFaultPlan",
-    "FleetResilience",
-    "FrontEnd",
-    "Job",
-    "JobCompiler",
-    "JobTemplate",
-    "LEGAL_BREAKER_TRANSITIONS",
-    "LinkDegrade",
-    "ResilienceConfig",
-    "ResultCache",
-    "ServeConfig",
-    "ServeResult",
-    "ServeStats",
-    "Service",
-    "StageSpec",
-    "TenantSpec",
-    "TokenBucket",
-    "WorkflowEngine",
-    "WorkflowSpec",
-    "available_dispatch_policies",
-    "block_partition",
-    "chaos_tenants",
-    "content_key",
-    "count_breaker_cycles",
-    "default_tenants",
-    "exact_percentile",
-    "job_seed",
-    "random_fleet_fault_plan",
-    "raxml_workflow",
-    "register_dispatch",
-    "replicate_tree",
-    "resolve_dispatch",
-    "run_chaos",
-    "run_dag",
-    "run_service",
-    "scheduler_by_name",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "admission": ("DispatchUnit", "FrontEnd", "TokenBucket"),
+    "autoscaler": ("Autoscaler", "AutoscalerConfig"),
+    "bootstop": ("BootstopConfig", "BootstopMonitor"),
+    "cache": ("CacheEntry", "ResultCache", "content_key"),
+    "dag": ("DagConfig", "DagResult", "StageSpec", "WorkflowEngine",
+            "WorkflowSpec", "raxml_workflow", "replicate_tree", "run_dag"),
+    "dispatch": ("DispatchInfo", "DispatchPolicy",
+                 "available_dispatch_policies", "block_partition",
+                 "register_dispatch", "resolve_dispatch"),
+    "chaos": ("ChaosConfig", "ChaosReport", "chaos_tenants",
+              "random_fleet_fault_plan", "run_chaos"),
+    "fleet": ("BladeFlap", "BladeKill", "BladeSlow", "BladeState",
+              "CompiledJob", "FleetFaultPlan", "JobCompiler", "LinkDegrade",
+              "scheduler_by_name"),
+    "jobs": ("Job", "JobTemplate", "TenantSpec", "job_seed"),
+    "resilience": ("BREAKER_STATES", "FleetResilience",
+                   "LEGAL_BREAKER_TRANSITIONS", "ResilienceConfig",
+                   "count_breaker_cycles"),
+    "service": ("ServeConfig", "ServeResult", "Service", "default_tenants",
+                "run_service"),
+    "slo": ("ServeStats", "exact_percentile"),
+    "generators": (),
+})

@@ -38,7 +38,11 @@ from ..obs.metrics import stable_round
 from ..sim.rng import RngStreams
 from .fleet import BladeFlap, BladeKill, BladeSlow, FleetFaultPlan, LinkDegrade
 from .jobs import JobTemplate, TenantSpec
-from .resilience import ResilienceConfig, transitions_legal
+from .resilience import (
+    ResilienceConfig,
+    count_breaker_cycles,
+    transitions_legal,
+)
 from .service import ServeConfig, ServeResult, run_service
 
 __all__ = [
@@ -358,8 +362,6 @@ def check_plan_invariants(config: ChaosConfig, clean: ServeResult,
 
 def run_chaos(config: ChaosConfig, progress=None) -> ChaosReport:
     """Run the soak: one fault-free reference + ``config.plans`` plans."""
-    from .resilience import count_breaker_cycles
-
     clean = run_service(chaos_serve_config(config))
     report = ChaosReport(
         config=config,

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .fleet import BladeState
-    from .service import DispatchUnit
+    from .admission import DispatchUnit
 
 __all__ = [
     "DispatchPolicy",

@@ -6,29 +6,13 @@ tie-breaking, counted resources, FIFO stores, broadcast gates, named RNG
 streams and busy-time tracking.
 """
 
-from .engine import EmptySchedule, Environment
-from .events import AllOf, AnyOf, Event, Interrupt, Timeout
-from .process import Process
-from .resources import Barrier, Gate, Request, Resource, Store
-from .rng import RngStreams
-from .trace import BusyTracker, TraceRecord, Tracer
+from .. import _lazy
 
-__all__ = [
-    "Environment",
-    "EmptySchedule",
-    "Event",
-    "Timeout",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "Request",
-    "Store",
-    "Gate",
-    "Barrier",
-    "RngStreams",
-    "Tracer",
-    "TraceRecord",
-    "BusyTracker",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "engine": ("EmptySchedule", "Environment"),
+    "events": ("AllOf", "AnyOf", "Event", "Interrupt", "Timeout"),
+    "process": ("Process",),
+    "resources": ("Barrier", "Gate", "Request", "Resource", "Store"),
+    "rng": ("RngStreams",),
+    "trace": ("BusyTracker", "TraceRecord", "Tracer"),
+})

@@ -1,37 +1,14 @@
 """Workload models: the RAxML profile, trace generation, synthetic streams."""
 
-from .profiles import FunctionProfile, RAXML_42SC, RaxmlProfile
-from .synthetic import (
-    bursty_trace,
-    fine_grained_trace,
-    interleaved_locality_trace,
-    mixed_granularity_trace,
-    uniform_trace,
-)
-from .coupled import BSPWorkload
-from .io import load_traces, save_traces, trace_from_dict, trace_to_dict
-from .taskspec import BootstrapTrace, LoopSpec, OffloadItem, TaskSpec
-from .traces import FixedTraceWorkload, TraceBuilder, Workload
+from .. import _lazy
 
-__all__ = [
-    "RaxmlProfile",
-    "FunctionProfile",
-    "RAXML_42SC",
-    "TaskSpec",
-    "LoopSpec",
-    "OffloadItem",
-    "BootstrapTrace",
-    "TraceBuilder",
-    "Workload",
-    "FixedTraceWorkload",
-    "BSPWorkload",
-    "save_traces",
-    "load_traces",
-    "trace_to_dict",
-    "trace_from_dict",
-    "uniform_trace",
-    "fine_grained_trace",
-    "mixed_granularity_trace",
-    "bursty_trace",
-    "interleaved_locality_trace",
-]
+__getattr__, __dir__, __all__ = _lazy(globals(), {
+    "profiles": ("FunctionProfile", "RAXML_42SC", "RaxmlProfile"),
+    "synthetic": ("bursty_trace", "fine_grained_trace",
+                  "interleaved_locality_trace", "mixed_granularity_trace",
+                  "uniform_trace"),
+    "coupled": ("BSPWorkload",),
+    "io": ("load_traces", "save_traces", "trace_from_dict", "trace_to_dict"),
+    "taskspec": ("BootstrapTrace", "LoopSpec", "OffloadItem", "TaskSpec"),
+    "traces": ("FixedTraceWorkload", "TraceBuilder", "Workload"),
+})
